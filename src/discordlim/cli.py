@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_theta(value: float, in_pi: bool) -> float:
     theta = value * np.pi if in_pi else value
-    if theta < -1e-12 or theta > np.pi / 4 + 1e-12:
+    if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
         raise UsageError(f"theta={theta} outside [0, pi/4]")
     return min(max(theta, 0.0), np.pi / 4)
 

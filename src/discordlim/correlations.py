@@ -1,10 +1,15 @@
 """Mutual information, accessible information, discord, and the
 measurement optimizer giving the classical-communication limit.
 
-The optimizer maximizes the post-measurement information J over rank-1
-two-outcome projective measurements on a qubit apparatus (coarse angle
-grid followed by Nelder-Mead refinement); an optional mode also searches
-three-outcome rank-1 POVMs.
+Every J evaluation goes through one kernel, batched over measurements.
+Measuring a qubit apparatus projectively along the unit vector n leaves
+the unnormalized system branches B± = (rho^S ± sum_k n_k M_k) / 2 with
+M_k = Tr_A[(1 x sigma_k) rho] (Luo, PRA 77, 042303 (2008); Ali, Rau &
+Alber, PRA 81, 042105 (2010)), so a whole batch of directions costs one
+eigenvalue pass: closed form for a qubit system, batched `eigvalsh`
+otherwise. The optimizer evaluates J on a Fibonacci hemisphere
+(J(n) = J(-n)) and refines the best cells together by a batched pattern
+search; an optional mode also searches three-outcome rank-1 POVMs.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import (
+    ENTROPY_CLIP,
+    LOG2,
     DensityMatrix,
-    entropy_of_spectrum,
+    _fault,
     hermitianize,
     partial_trace,
     random_isometry_mat,
@@ -27,11 +33,39 @@ POVM_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
 ZERO_PROB = 1e-12
 
-GRID_THETA = 64
-GRID_PHI = 128
+# Directions of the hemisphere grid, the cells refined from it, and the
+# pattern step (rad) at which a refinement stops; J is stationary at the
+# optimum, so its error is of order the step squared. The search reached
+# the optimum from as few as 32 grid directions on 1200 seeded Ginibre
+# states; 256 leave a margin for narrower peaks at ~0.1 ms per call for a
+# qubit system and ~0.7 ms for a qutrit.
+GRID_POINTS = 256
 REFINE_STARTS = 5
-REFINE_FTOL = 1e-10
-REFINE_MAXITER = 500
+REFINE_STEP_TOL = 1e-8
+
+# Nelder-Mead settings of the three-outcome POVM search.
+THREE_OUTCOME_FTOL = 1e-10
+THREE_OUTCOME_MAXITER = 500
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _fibonacci_hemisphere(n: int) -> np.ndarray:
+    """n nearly uniform unit vectors with z > 0, as an (n, 3) array."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - k / n
+    rad = np.sqrt(1.0 - z * z)
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
+
+
+_GRID = _fibonacci_hemisphere(GRID_POINTS)
+# A refinement starts at the grid spacing, the side of the hemisphere's
+# area shared out over the grid.
+_GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
+# The 3x3 pattern about a point, less the point itself.
+_PATTERN = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -48,11 +82,14 @@ class Povm:
         for e in elems:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must be square and same-sized")
-            if np.linalg.eigvalsh(hermitianize(e))[0] < -POVM_PSD_TOL:
+        # The completeness residual is NaN for non-finite entries, so it is
+        # checked before any eigensolver sees them.
+        err = np.max(np.abs(sum(elems) - np.eye(d)))
+        if not err <= POVM_SUM_TOL:
+            raise ValueError(_fault(err, "POVM", "elements do not sum to the identity"))
+        for e in elems:
+            if not np.linalg.eigvalsh(hermitianize(e))[0] >= -POVM_PSD_TOL:
                 raise ValueError("POVM element is not PSD")
-        total = sum(elems)
-        if np.max(np.abs(total - np.eye(d))) > POVM_SUM_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -89,45 +126,141 @@ def mutual_information(rho: DensityMatrix) -> float:
     return s_s + s_a - von_neumann_entropy(rho)
 
 
-def _branch_states(rho: DensityMatrix, elements) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized conditionals Tr_A[(1 x E_i) rho] and their probabilities."""
+def _bipartite(rho: DensityMatrix) -> np.ndarray:
+    """rho as a (d_s, d_a, d_s, d_a) tensor."""
+    if len(rho.dims) != 2:
+        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
     d_s, d_a = rho.dims
-    r = rho.mat.reshape(d_s, d_a, d_s, d_a)
+    return rho.mat.reshape(d_s, d_a, d_s, d_a)
+
+
+def _branch_states(rho: DensityMatrix, elements) -> np.ndarray:
+    """Unnormalized conditionals Tr_A[(1 x E_i) rho], as a (k, d_s, d_s)
+    array."""
+    r = _bipartite(rho)
     elems = np.asarray(elements, dtype=complex)
-    if elems.shape[-1] != d_a:
+    if elems.shape[-1] != r.shape[1]:
         raise ValueError("POVM dimension does not match the apparatus")
-    branches = np.einsum("iajb,nba->nij", r, elems, optimize=True)
-    probs = np.einsum("nii->n", branches).real
-    return branches, probs
+    return np.einsum("iajb,nba->nij", r, elems)
+
+
+def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Traces of a stack of Hermitian matrices (lower triangles read), and
+    the eigenvalues of their traceless parts, each eigenvalue minus the
+    mean: closed form for 2x2, one batched `eigvalsh` otherwise. The
+    deviations keep their relative precision as a matrix nears a multiple
+    of the identity."""
+    d = mats.shape[-1]
+    diag = mats.diagonal(axis1=-2, axis2=-1).real
+    if d == 2:
+        a, c = diag.T
+        return a + c, np.hypot((a - c) / 2, np.abs(mats[:, 1, 0]))[:, None] * _SIGNS
+    tr = diag.sum(axis=-1)
+    return tr, np.linalg.eigvalsh(mats - (tr / d)[:, None, None] * np.eye(d))
+
+
+def _j_values(mats: np.ndarray, k: int) -> np.ndarray:
+    """J = S(rho^S) - sum_i p_i S(B_i / p_i), in bits. mats[0] is rho^S and
+    mats[1:] holds n groups of k unnormalized branches B_i, each group
+    summing to rho^S; returns shape (n,).
+
+    Computed as sum_i p_i D(B_i / p_i || 1/d) - D(rho^S || 1/d), each
+    relative entropy to the maximally mixed state summed from eigenvalue
+    deviations (`_spectra`). That equals the entropy difference, and keeps
+    J's relative precision where the conditional states near 1/d, as they
+    do for a nearly uncorrelated state. All matrices go through one
+    eigenvalue pass.
+    """
+    d = mats.shape[-1]
+    tr, dev = _spectra(mats)
+    mean = tr[:, None] / d
+    floor = ZERO_PROB / d
+    ratio = dev / np.maximum(mean, floor)
+    # log1p(ratio) = log(d * val / tr). A branch with p_i <= ZERO_PROB, and
+    # eigenvalues at or below ENTROPY_CLIP of their matrix's trace,
+    # contribute nothing, as in `entropy_of_spectrum` of B_i / p_i.
+    keep = (ratio > d * ENTROPY_CLIP - 1) & (mean > floor)
+    logs = np.log1p(ratio, out=np.zeros(dev.shape), where=keep)
+    rel = ((mean + dev) * logs).sum(axis=1) / LOG2
+    return rel[1:].reshape(-1, k).sum(axis=1) - rel[0]
+
+
+def _projective_kernel(rho: DensityMatrix):
+    """J along each row of an (N, 3) array of unit apparatus directions.
+    rho^S and the M_k / 2 are computed once for the state; the branches of
+    direction n are rho^S / 2 +- sum_k n_k M_k / 2."""
+    r = _bipartite(rho)
+    d = r.shape[0]
+    rho_s = hermitianize(np.trace(r, axis1=1, axis2=3))
+    m = np.einsum("iajb,kba->kij", r, _PAULI)
+    half_m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 4).reshape(3, d * d)
+    half_s = rho_s / 2
+
+    def j_at(directions: np.ndarray) -> np.ndarray:
+        nm = (directions @ half_m).reshape(-1, d, d)
+        mats = np.empty((2 * len(nm) + 1, d, d), dtype=complex)
+        mats[0] = rho_s
+        np.add(half_s, nm, out=mats[1::2])
+        np.subtract(half_s, nm, out=mats[2::2])
+        return _j_values(mats, 2)
+
+    return j_at
+
+
+def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray):
+    """Pattern search of J from every start at once; returns the best
+    (J, unit direction).
+
+    Each round evaluates, in one kernel call, the 3x3 pattern of side
+    `step` about every start's point on its tangent chart. A start moves
+    to its best pattern point when that raises J, and else halves its
+    step; the search ends once every step is at most REFINE_STEP_TOL.
+    """
+    s = len(starts)
+    rows = np.arange(s)
+    # Chart n(x) = normalize(n0 + x_1 e_1 + x_2 e_2); it covers the open
+    # hemisphere about n0, which is every measurement since J(n) = J(-n).
+    helper = np.eye(3)[np.argmin(np.abs(starts), axis=1)]
+    e1 = helper - np.sum(helper * starts, axis=1, keepdims=True) * starts
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    tangent = np.stack([e1, np.cross(starts, e1)], axis=1)
+
+    x = np.zeros((s, 2))
+    j = j_starts.copy()
+    step = np.full(s, _GRID_SPACING)
+    while step.max() > REFINE_STEP_TOL:
+        trial = x[:, None, :] + step[:, None, None] * _PATTERN
+        dirs = starts[:, None, :] + trial @ tangent
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        jt = j_at(dirs.reshape(-1, 3)).reshape(s, -1)
+        best = np.argmax(jt, axis=1)
+        up = jt[rows, best] > j
+        x[up] = trial[rows, best][up]
+        j[up] = jt[rows, best][up]
+        step[~up] /= 2
+    k = int(np.argmax(j))
+    n = starts[k] + x[k] @ tangent[k]
+    return float(j[k]), n / np.linalg.norm(n)
+
+
+def accessible_information(rho: DensityMatrix, m: Povm) -> float:
+    """J = S(rho^S) - sum_i p_i S(rho_i^S), in bits, for a POVM with any
+    number of outcomes: one contraction gives rho^S and every branch, and
+    `_j_values` takes all of them through one eigenvalue pass."""
+    mats = _branch_states(rho, (np.eye(m.dim), *m.elements))
+    return float(_j_values(mats, len(m.elements))[0])
 
 
 def post_measurement_ensemble(rho: DensityMatrix, m: Povm) -> MeasurementEnsemble:
     """Outcome probabilities and conditional states; near-zero-probability
     outcomes are dropped."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
-    d_s = rho.dims[0]
-    branches, probs = _branch_states(rho, m.elements)
+    branches = _branch_states(rho, m.elements)
     outcomes = []
-    for p, b in zip(probs, branches):
+    for b in branches:
+        p = np.trace(b).real
         if p > ZERO_PROB:
-            outcomes.append((float(p), DensityMatrix(hermitianize(b) / p, (d_s,))))
+            outcomes.append((float(p), DensityMatrix(hermitianize(b) / p, rho.dims[:1])))
     return MeasurementEnsemble(tuple(outcomes))
-
-
-def _accessible_raw(rho: DensityMatrix, elements) -> float:
-    branches, probs = _branch_states(rho, elements)
-    s_s = von_neumann_entropy(partial_trace(rho, [0]))
-    cond = 0.0
-    for p, b in zip(probs, branches):
-        if p > ZERO_PROB:
-            cond += p * entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(b) / p))
-    return s_s - cond
-
-
-def accessible_information(rho: DensityMatrix, m: Povm) -> float:
-    """J = S(rho^S) - sum_i p_i S(rho_i^S), in bits."""
-    return _accessible_raw(rho, m.elements)
 
 
 def discord_given_measurement(rho: DensityMatrix, m: Povm) -> float:
@@ -149,72 +282,6 @@ def random_povm(n_outcomes: int, seed: int, dim: int = 2) -> Povm:
         raise ValueError("rank-1 POVM needs at least dim outcomes")
     w = random_isometry_mat(dim, n_outcomes, seed)
     return Povm(tuple(np.outer(r.conj(), r) for r in w))
-
-
-def _grid_best_projective(rho: DensityMatrix) -> list[tuple[float, float, float]]:
-    """Evaluate J on the (theta_m, phi_m) grid; return the best cells as
-    (J, theta_m, phi_m), best first."""
-    d_s, _ = rho.dims
-    thetas = np.linspace(0.0, np.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2 * np.pi, GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
-    v = np.stack([np.cos(tt / 2), np.exp(1j * pp) * np.sin(tt / 2)], axis=1)
-    e1 = np.einsum("na,nb->nab", v, v.conj())
-    e2 = np.eye(2) - e1
-
-    r = rho.mat.reshape(d_s, 2, d_s, 2)
-    s_s = von_neumann_entropy(partial_trace(rho, [0]))
-    j = np.full(tt.size, s_s)
-    for elems in (e1, e2):
-        branches = np.einsum("iajb,nba->nij", r, elems, optimize=True)
-        branches = (branches + np.conj(np.swapaxes(branches, 1, 2))) / 2
-        probs = np.einsum("nii->n", branches).real
-        safe = np.where(probs > ZERO_PROB, probs, 1.0)
-        vals = np.linalg.eigvalsh(branches / safe[:, None, None])
-        vals = np.clip(vals, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = -np.sum(np.where(vals > ZERO_PROB, vals * np.log2(vals), 0.0), axis=1)
-        j -= np.where(probs > ZERO_PROB, probs * ent, 0.0)
-
-    order = np.argsort(-j, kind="stable")[:REFINE_STARTS]
-    return [(float(j[k]), float(tt[k]), float(pp[k])) for k in order]
-
-
-def _refine_projective(rho: DensityMatrix, starts) -> tuple[float, float, float]:
-    """Nelder-Mead refinement of J from each grid start; returns the best
-    (J, theta_m, phi_m)."""
-    d_s = rho.dims[0]
-    r = rho.mat.reshape(d_s, 2, d_s, 2)
-    red_s = np.trace(r, axis1=1, axis2=3)
-    s_s = entropy_of_spectrum(np.linalg.eigvalsh(red_s))
-
-    def neg_j(x):
-        v = np.array([np.cos(x[0] / 2), np.exp(1j * x[1]) * np.sin(x[0] / 2)])
-        e = np.outer(v, v.conj())
-        b1 = np.tensordot(r, e, axes=([1, 3], [1, 0]))
-        b2 = red_s - b1
-        cond = 0.0
-        for b in (b1, b2):
-            p = np.trace(b).real
-            if p > ZERO_PROB:
-                h = (b + b.conj().T) / (2 * p)
-                cond += p * entropy_of_spectrum(np.linalg.eigvalsh(h))
-        return cond - s_s
-
-    best = max((j, t, f) for j, t, f in starts)
-    for _, t, f in starts:
-        res = minimize(
-            neg_j,
-            x0=np.array([t, f]),
-            method="Nelder-Mead",
-            options={"fatol": REFINE_FTOL, "xatol": REFINE_FTOL, "maxiter": REFINE_MAXITER},
-        )
-        cand = (-res.fun, float(res.x[0]), float(res.x[1]))
-        if cand[0] > best[0]:
-            best = cand
-    return best
 
 
 def _bloch_ket(m: np.ndarray) -> np.ndarray:
@@ -249,12 +316,13 @@ def _three_outcome_elements(x: np.ndarray) -> list[np.ndarray] | None:
 def _refine_three_outcome(rho: DensityMatrix, proj_theta: float, proj_phi: float,
                           floor: float) -> tuple[float, Povm | None]:
     """Search three-outcome rank-1 POVMs near the optimal projective axis."""
+    from scipy.optimize import minimize
 
     def neg_j(x):
         elems = _three_outcome_elements(x)
         if elems is None:
             return 1e6
-        return -_accessible_raw(rho, elems)
+        return -_j_values(_branch_states(rho, [np.eye(2), *elems]), 3)[0]
 
     best_j, best_x = floor, None
     starts = []
@@ -267,26 +335,34 @@ def _refine_three_outcome(rho: DensityMatrix, proj_theta: float, proj_phi: float
             neg_j,
             x0=x0,
             method="Nelder-Mead",
-            options={"fatol": REFINE_FTOL, "xatol": REFINE_FTOL, "maxiter": REFINE_MAXITER},
+            options={"fatol": THREE_OUTCOME_FTOL, "xatol": THREE_OUTCOME_FTOL,
+                     "maxiter": THREE_OUTCOME_MAXITER},
         )
         if -res.fun > best_j:
             best_j, best_x = -res.fun, res.x
     if best_x is None:
         return floor, None
     elems = _three_outcome_elements(best_x)
-    # Tidy the completeness residual before constructing the Povm.
-    total = sum(elems)
-    elems[0] = elems[0] + (np.eye(2) - total)
-    return best_j, Povm(tuple(hermitianize(e) for e in elems))
+    # Remove the completeness residual of the weight solve by the
+    # congruence T^-1/2 E T^-1/2, T = sum E, which keeps every element PSD,
+    # and report J of the POVM that results: the search can drift to where
+    # the residual, not the measurement, raises J.
+    vals, vecs = np.linalg.eigh(sum(elems))
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    povm = Povm(tuple(hermitianize(root @ e @ root) for e in elems))
+    return accessible_information(rho, povm), povm
 
 
 def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> CorrelationReport:
     """Maximize J over measurements on a qubit apparatus.
 
-    Default searches two-outcome projective measurements (coarse
-    64x128 angle grid, then Nelder-Mead from the best 5 cells);
+    Default searches two-outcome projective measurements: J on a
+    GRID_POINTS Fibonacci hemisphere of directions, then a batched
+    pattern search from the best REFINE_STARTS cells down to a step of
+    REFINE_STEP_TOL rad, all through one batched J kernel.
     povm_outcomes=3 additionally searches coplanar three-outcome rank-1
-    POVMs. Deterministic for fixed input and configuration.
+    POVMs with Nelder-Mead. Deterministic for fixed input and
+    configuration.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
@@ -296,8 +372,12 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
         raise ValueError("povm_outcomes must be 2 or 3")
 
     i_sa = mutual_information(rho)
-    starts = _grid_best_projective(rho)
-    j_best, t_best, f_best = _refine_projective(rho, starts)
+    j_at = _projective_kernel(rho)
+    j_grid = j_at(_GRID)
+    top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
+    j_best, n = _refine(j_at, _GRID[top], j_grid[top])
+    t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
+    f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)
     if povm_outcomes == 3:
         j3, povm3 = _refine_three_outcome(rho, t_best, f_best, j_best)

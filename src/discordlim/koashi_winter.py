@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     DensityMatrix,
     StateVector,
     binary_entropy,
@@ -18,8 +19,6 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
-
-RANK_TOL = 1e-9
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -34,7 +33,7 @@ def example_branches(theta: float) -> tuple[StateVector, StateVector]:
 
 
 def _check_theta(theta: float):
-    if theta < -1e-12 or theta > np.pi / 4 + 1e-12:
+    if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
         raise ValueError(f"theta={theta} outside [0, pi/4]")
 
 
@@ -78,17 +77,20 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 def classical_correlation_kw(rho: DensityMatrix) -> float:
     """I^c = S(rho^S) - E_F(rho^SC) with C the purifying system.
 
-    Requires a qubit system and rank <= 2 so that C is (at most) a qubit.
+    Requires a qubit system and rank <= 2 (eigenvalues above RANK_TOL) so
+    that C is (at most) a qubit.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
     if rho.dims[0] != 2:
         raise ValueError("the system factor must be a qubit")
-    vals = np.linalg.eigvalsh(rho.mat)
-    if int(np.sum(vals > RANK_TOL)) > 2:
-        raise ValueError("state rank exceeds 2; purifying system is not a qubit")
-    s_s = von_neumann_entropy(partial_trace(rho, [0]))
+    # The purification keeps exactly the eigenvalues that count toward the
+    # rank, so its ancilla dimension is the checked rank.
     psi = purify(rho)
+    if psi.dims[-1] > 2:
+        raise ValueError(f"state rank exceeds 2 (eigenvalues above {RANK_TOL}); "
+                         "purifying system is not a qubit")
+    s_s = von_neumann_entropy(partial_trace(rho, [0]))
     if psi.dims[-1] == 1:
         # Pure input: purifying system is trivial and E_F vanishes.
         return s_s

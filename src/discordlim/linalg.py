@@ -18,10 +18,19 @@ PSD_TOL = 1e-10
 NORM_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 
-# Eigenvalues below this contribute nothing to entropies / purifications.
+# Eigenvalues below this contribute nothing to entropies.
 ENTROPY_CLIP = 1e-12
+# Eigenvalues above this count toward a state's rank, and so toward the
+# ancilla of its purification.
+RANK_TOL = 1e-9
 
 LOG2 = np.log(2.0)
+
+
+def _fault(err: float, what: str, problem: str) -> str:
+    """Message for a validation residual that failed `err <= tol`: a NaN or
+    infinite residual comes from non-finite entries."""
+    return f"{what} {problem}" if np.isfinite(err) else f"{what} has non-finite entries"
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
@@ -46,12 +55,15 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        # Comparisons are written `not err <= tol` so that a NaN residual,
+        # from non-finite entries, fails them.
+        err = np.max(np.abs(mat - mat.conj().T))
+        if not err <= HERM_TOL:
+            raise ValueError(_fault(err, "density matrix", "is not Hermitian"))
         tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        if np.linalg.eigvalsh(mat)[0] < -PSD_TOL:
+        if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
     @property
@@ -70,8 +82,9 @@ class StateVector:
         vec = np.ascontiguousarray(np.asarray(self.vec, dtype=complex)).ravel()
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _check_dims(self.dims, vec.size))
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized")
+        err = abs(np.linalg.norm(vec) - 1.0)
+        if not err <= NORM_TOL:
+            raise ValueError(_fault(err, "state vector", "is not normalized"))
 
     @property
     def dim(self) -> int:
@@ -160,7 +173,7 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), in bits."""
-    if p < -1e-12 or p > 1 + 1e-12:
+    if not -1e-12 <= p <= 1 + 1e-12:
         raise ValueError(f"probability {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return entropy_of_spectrum(np.array([p, 1.0 - p]))
@@ -168,9 +181,10 @@ def binary_entropy(p: float) -> float:
 
 def purify(rho: DensityMatrix) -> StateVector:
     """Purification |Psi> = sum_k sqrt(lam_k) |e_k>|k>, ancilla ordered by
-    descending eigenvalue; ancilla dimension equals the rank of rho."""
+    descending eigenvalue; ancilla dimension equals the rank of rho (the
+    eigenvalues above RANK_TOL; the rest are dropped)."""
     vals, vecs = hermitian_eigensystem(rho.mat)
-    rank = max(1, int(np.sum(vals > ENTROPY_CLIP)))
+    rank = max(1, int(np.sum(vals > RANK_TOL)))
     amps = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
     psi = amps.reshape(rho.dim * rank)
     psi = psi / np.linalg.norm(psi)

@@ -15,6 +15,7 @@ from .linalg import (
     ISOMETRY_TOL,
     DensityMatrix,
     StateVector,
+    _fault,
     hermitianize,
     partial_trace,
     partial_trace_mat,
@@ -55,8 +56,9 @@ class BroadcastIsometry:
         if mat.shape[0] != d_out:
             raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
         gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(mat.shape[1]))) > ISOMETRY_TOL:
-            raise ValueError("matrix is not an isometry")
+        err = np.max(np.abs(gram - np.eye(mat.shape[1])))
+        if not err <= ISOMETRY_TOL:
+            raise ValueError(_fault(err, "matrix", "is not an isometry"))
 
     @property
     def d_in(self) -> int:
@@ -76,11 +78,9 @@ class ClonerOutput:
 def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> DensityMatrix:
     """Apply the entanglement-breaking map
     sum_i Tr_A[(1 x E_i) rho] x sigma_i."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
+    branches = _branch_states(rho, ch.measurement.elements)
     d_s = rho.dims[0]
     d_r = ch.prepared[0].dim
-    branches, _ = _branch_states(rho, ch.measurement.elements)
     out = np.zeros((d_s * d_r, d_s * d_r), dtype=complex)
     for b, sigma in zip(branches, ch.prepared):
         if sigma.dim != d_r:

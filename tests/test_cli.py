@@ -41,6 +41,12 @@ class TestPoint:
         assert code == 1
         assert "theta" in err
 
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_theta_is_usage_error(self, capsys, value):
+        code, _, err = run_cli(capsys, "point", "--theta", value)
+        assert code == 1
+        assert "theta" in err
+
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "point")
         assert code == 1

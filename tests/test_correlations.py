@@ -87,6 +87,11 @@ class TestAccessibleInformation:
         got = corr.accessible_information(example_state(theta), BASIS_POVM)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_dimension_mismatch(self):
+        rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
+        with pytest.raises(ValueError, match="POVM dimension does not match the apparatus"):
+            corr.accessible_information(rho, BASIS_POVM)
+
 
 class TestDiscordGivenMeasurement:
     def test_bell_basis(self):
@@ -127,6 +132,11 @@ class TestPovmType:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
             corr.Povm((np.diag([0.5, 0.5]),))
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                corr.Povm((np.diag([1.0, bad]), np.diag([0.0, 1.0])))
 
     def test_random_povm_valid(self):
         for n in (2, 3, 4):

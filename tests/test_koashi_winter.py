@@ -149,6 +149,16 @@ class TestClassicalCorrelationKw:
         with pytest.raises(ValueError):
             kw.classical_correlation_kw(rho)
 
+    def test_rank_counted_as_purified(self):
+        # 1e-10 of a null vector keeps the rank at 2 (eigenvalues above
+        # RANK_TOL); the purification must then have a qubit ancilla.
+        rho = kw.example_state(np.pi / 8)
+        null = np.linalg.eigh(rho.mat)[1][:, 0]
+        eps = 1e-10
+        mixed = la.DensityMatrix((1 - eps) * rho.mat + eps * np.outer(null, null.conj()), (2, 2))
+        assert kw.classical_correlation_kw(mixed) == pytest.approx(
+            kw.classical_correlation_kw(rho), abs=1e-8)
+
     def test_rejects_non_qubit_system(self):
         rho = la.DensityMatrix(la.random_density_matrix(6, 9, rank=2), (3, 2))
         with pytest.raises(ValueError):

@@ -189,6 +189,12 @@ class TestBroadcast:
         s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
         assert infos[0] + infos[1] == pytest.approx(2 * s_s, abs=1e-8)
 
+    def test_rejects_non_finite_isometry(self):
+        v = proto.classical_copy_isometry().matrix.copy()
+        v[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            proto.BroadcastIsometry(v, (2, 2), 1)
+
     def test_pass_through_embedding(self):
         # Apparatus goes straight to R1, R2 held in a fixed pure state.
         v = np.zeros((4, 2))
