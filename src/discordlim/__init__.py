@@ -3,13 +3,10 @@ measurement records by classical means, for small multipartite systems."""
 
 from .correlations import (
     CorrelationReport,
-    MeasurementEnsemble,
     Povm,
     accessible_information,
     classical_correlation,
-    discord_given_measurement,
     mutual_information,
-    post_measurement_ensemble,
     qubit_projective_povm,
     random_povm,
 )
@@ -24,14 +21,12 @@ from .linalg import (
     DensityMatrix,
     StateVector,
     binary_entropy,
-    hermitian_eigenvalues,
     partial_trace,
     purify,
     random_density_matrix,
     random_isometry_mat,
     random_pure_state,
     random_unitary,
-    tensor,
     von_neumann_entropy,
 )
 from .protocols import (
@@ -40,7 +35,6 @@ from .protocols import (
     CrossoverResult,
     PreparedEnsembleChannel,
     apply_broadcast,
-    average_bound_check,
     classical_copy_isometry,
     cloner_fidelity_scan,
     cloning_recipient_info,

@@ -21,7 +21,6 @@ import numpy as np
 from . import verify as verify_mod
 from .correlations import classical_correlation
 from .koashi_winter import classical_correlation_kw, example_state
-from .linalg import DensityMatrix
 from .protocols import cloning_recipient_info, find_crossover
 
 CSV_HEADER = "theta,I,Ic,discord,I_clone,diff"

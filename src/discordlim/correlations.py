@@ -24,7 +24,6 @@ from .linalg import (
     DensityMatrix,
     _fault,
     hermitianize,
-    partial_trace,
     random_isometry_mat,
     von_neumann_entropy,
 )
@@ -87,24 +86,13 @@ class Povm:
         err = np.max(np.abs(sum(elems) - np.eye(d)))
         if not err <= POVM_SUM_TOL:
             raise ValueError(_fault(err, "POVM", "elements do not sum to the identity"))
-        for e in elems:
-            if not np.linalg.eigvalsh(hermitianize(e))[0] >= -POVM_PSD_TOL:
-                raise ValueError("POVM element is not PSD")
+        if not np.linalg.eigvalsh(hermitianize(np.array(elems)))[:, 0].min() >= -POVM_PSD_TOL:
+            raise ValueError("POVM element is not PSD")
         object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
-
-
-@dataclass(frozen=True)
-class MeasurementEnsemble:
-    """Outcome probabilities with the conditional system states."""
-
-    outcomes: tuple[tuple[float, DensityMatrix], ...]
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.outcomes])
 
 
 @dataclass(frozen=True)
@@ -119,11 +107,15 @@ class CorrelationReport:
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
-    s_s = von_neumann_entropy(partial_trace(rho, [0]))
-    s_a = von_neumann_entropy(partial_trace(rho, [1]))
-    return s_s + s_a - von_neumann_entropy(rho)
+    return _mutual_info(_bipartite(rho))
+
+
+def _mutual_info(r: np.ndarray) -> float:
+    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor: three entropies."""
+    d = r.shape[0] * r.shape[1]
+    s_s = von_neumann_entropy(hermitianize(np.trace(r, axis1=1, axis2=3)))
+    s_a = von_neumann_entropy(hermitianize(np.trace(r, axis1=0, axis2=2)))
+    return s_s + s_a - von_neumann_entropy(r.reshape(d, d))
 
 
 def _bipartite(rho: DensityMatrix) -> np.ndarray:
@@ -187,13 +179,11 @@ def _j_values(mats: np.ndarray, k: int) -> np.ndarray:
 
 def _projective_kernel(rho: DensityMatrix):
     """J along each row of an (N, 3) array of unit apparatus directions.
-    rho^S and the M_k / 2 are computed once for the state; the branches of
-    direction n are rho^S / 2 +- sum_k n_k M_k / 2."""
-    r = _bipartite(rho)
-    d = r.shape[0]
-    rho_s = hermitianize(np.trace(r, axis1=1, axis2=3))
-    m = np.einsum("iajb,kba->kij", r, _PAULI)
-    half_m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 4).reshape(3, d * d)
+    rho^S and the M_k / 2 come from one branch contraction per state; the
+    branches of direction n are rho^S / 2 +- sum_k n_k M_k / 2."""
+    d = rho.dims[0]
+    rho_s, *m = hermitianize(_branch_states(rho, (np.eye(2), *_PAULI)))
+    half_m = (np.array(m) / 2).reshape(3, d * d)
     half_s = rho_s / 2
 
     def j_at(directions: np.ndarray) -> np.ndarray:
@@ -249,23 +239,6 @@ def accessible_information(rho: DensityMatrix, m: Povm) -> float:
     `_j_values` takes all of them through one eigenvalue pass."""
     mats = _branch_states(rho, (np.eye(m.dim), *m.elements))
     return float(_j_values(mats, len(m.elements))[0])
-
-
-def post_measurement_ensemble(rho: DensityMatrix, m: Povm) -> MeasurementEnsemble:
-    """Outcome probabilities and conditional states; near-zero-probability
-    outcomes are dropped."""
-    branches = _branch_states(rho, m.elements)
-    outcomes = []
-    for b in branches:
-        p = np.trace(b).real
-        if p > ZERO_PROB:
-            outcomes.append((float(p), DensityMatrix(hermitianize(b) / p, rho.dims[:1])))
-    return MeasurementEnsemble(tuple(outcomes))
-
-
-def discord_given_measurement(rho: DensityMatrix, m: Povm) -> float:
-    """Discord relative to a fixed measurement: I - J."""
-    return mutual_information(rho) - accessible_information(rho, m)
 
 
 def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:

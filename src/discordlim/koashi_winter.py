@@ -12,16 +12,16 @@ from .linalg import (
     DensityMatrix,
     StateVector,
     binary_entropy,
-    hermitian_eigensystem,
     hermitianize,
-    partial_trace,
+    partial_trace_mat,
     purify,
-    tensor,
     von_neumann_entropy,
 )
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
 
 
 def example_branches(theta: float) -> tuple[StateVector, StateVector]:
@@ -41,14 +41,16 @@ def example_state(theta: float) -> DensityMatrix:
     """Equal mixture of |0><0| x |psi><psi| and |1><1| x |phi><phi| on
     system x apparatus; rank <= 2."""
     psi, phi = example_branches(theta)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    mat = 0.5 * tensor(p0, psi.to_density().mat) + 0.5 * tensor(p1, phi.to_density().mat)
-    return DensityMatrix(mat, (2, 2))
+    return DensityMatrix(_flagged_mixture(psi.vec, phi.vec), (2, 2))
+
+
+def _flagged_mixture(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b|, as a raw matrix."""
+    return 0.5 * np.kron(_P0, np.outer(a, a.conj())) + 0.5 * np.kron(_P1, np.outer(b, b.conj()))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = hermitian_eigensystem(mat)
+    vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -58,8 +60,12 @@ def concurrence(rho: DensityMatrix) -> float:
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho)."""
     if rho.dim != 4:
         raise ValueError("concurrence is defined here for two qubits only")
-    rt = _psd_sqrt(rho.mat)
-    m = hermitianize(rt @ _YY @ rho.mat.conj() @ _YY @ rt)
+    return _concurrence(rho.mat)
+
+
+def _concurrence(mat: np.ndarray) -> float:
+    rt = _psd_sqrt(mat)
+    m = hermitianize(rt @ _YY @ mat.conj() @ _YY @ rt)
     vals = np.linalg.eigvalsh(m)[::-1]
     # The square root amplifies eigenvalue noise (~1e-16) to ~1e-8; treat
     # anything below 1e-14 as an exact zero.
@@ -70,7 +76,10 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Two-qubit entanglement of formation from the concurrence, in bits."""
-    c = concurrence(rho)
+    return _formation(concurrence(rho))
+
+
+def _formation(c: float) -> float:
     return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
@@ -90,9 +99,9 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     if psi.dims[-1] > 2:
         raise ValueError(f"state rank exceeds 2 (eigenvalues above {RANK_TOL}); "
                          "purifying system is not a qubit")
-    s_s = von_neumann_entropy(partial_trace(rho, [0]))
+    s_s = von_neumann_entropy(hermitianize(partial_trace_mat(rho.mat, rho.dims, [0])[0]))
     if psi.dims[-1] == 1:
         # Pure input: purifying system is trivial and E_F vanishes.
         return s_s
-    rho_sc = partial_trace(psi.to_density(), [0, 2])
-    return s_s - entanglement_of_formation(rho_sc)
+    rho_sc, _ = partial_trace_mat(np.outer(psi.vec, psi.vec.conj()), psi.dims, [0, 2])
+    return s_s - _formation(_concurrence(hermitianize(rho_sc)))

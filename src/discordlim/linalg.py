@@ -3,6 +3,13 @@
 Everything here works on explicit numpy arrays; total dimensions stay
 small (<= 64), so dense eigendecompositions are used throughout.
 All informational quantities are in bits (log base 2).
+
+Validation happens once, at the public boundary: the value types
+(`DensityMatrix`, `StateVector`, and `Povm` / `BroadcastIsometry`
+elsewhere) check their input when they are built from caller input or
+returned to the caller. Inside the package, intermediate states pass as
+raw `mat` arrays (`partial_trace_mat`), so no eigensolver runs only to
+re-check a value the package computed itself.
 """
 
 from __future__ import annotations
@@ -94,13 +101,9 @@ class StateVector:
         return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors)."""
-    return np.kron(a, b)
-
-
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    """Hermitian part of a matrix, or of each matrix in a stack."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
 def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -140,23 +143,6 @@ def partial_transpose(mat: np.ndarray, dims, sys: int) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
 def entropy_of_spectrum(vals: np.ndarray) -> float:
     vals = np.asarray(vals, dtype=float)
     vals = vals[vals > ENTROPY_CLIP]
@@ -183,7 +169,8 @@ def purify(rho: DensityMatrix) -> StateVector:
     """Purification |Psi> = sum_k sqrt(lam_k) |e_k>|k>, ancilla ordered by
     descending eigenvalue; ancilla dimension equals the rank of rho (the
     eigenvalues above RANK_TOL; the rest are dropped)."""
-    vals, vecs = hermitian_eigensystem(rho.mat)
+    vals, vecs = np.linalg.eigh(rho.mat)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     rank = max(1, int(np.sum(vals > RANK_TOL)))
     amps = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
     psi = amps.reshape(rho.dim * rank)

@@ -9,19 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import Povm, _branch_states, mutual_information
-from .koashi_winter import classical_correlation_kw, example_branches, example_state
+from .correlations import Povm, _branch_states, _mutual_info
+from .koashi_winter import (_flagged_mixture, classical_correlation_kw, example_branches,
+                            example_state)
 from .linalg import (
     ISOMETRY_TOL,
     DensityMatrix,
     StateVector,
     _fault,
     hermitianize,
-    partial_trace,
     partial_trace_mat,
     random_isometry_mat,
-    tensor,
-    von_neumann_entropy,
 )
 
 CROSSOVER_BRACKET = (0.05 * np.pi, 0.15 * np.pi)
@@ -78,27 +76,28 @@ class ClonerOutput:
 def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> DensityMatrix:
     """Apply the entanglement-breaking map
     sum_i Tr_A[(1 x E_i) rho] x sigma_i."""
-    branches = _branch_states(rho, ch.measurement.elements)
-    d_s = rho.dims[0]
     d_r = ch.prepared[0].dim
-    out = np.zeros((d_s * d_r, d_s * d_r), dtype=complex)
-    for b, sigma in zip(branches, ch.prepared):
-        if sigma.dim != d_r:
-            raise ValueError("prepared states must share one dimension")
-        out += tensor(b, sigma.mat)
-    return DensityMatrix(hermitianize(out), (d_s, d_r))
+    if any(sigma.dim != d_r for sigma in ch.prepared):
+        raise ValueError("prepared states must share one dimension")
+    out = _prepare(rho, ch.measurement, [sigma.mat for sigma in ch.prepared])
+    return DensityMatrix(out, (rho.dims[0], d_r))
+
+
+def _prepare(rho: DensityMatrix, m: Povm, prepared) -> np.ndarray:
+    """sum_i Tr_A[(1 x E_i) rho] x sigma_i for raw sigma_i, as a raw matrix."""
+    d = rho.dims[0] * prepared[0].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for b, sigma in zip(_branch_states(rho, m.elements), prepared):
+        out += np.kron(b, sigma)
+    return hermitianize(out)
 
 
 def locc_transfer_info(rho: DensityMatrix, m: Povm) -> float:
     """I(S:R) after the optimal LOCC relay: measure with m, prepare
     orthonormal pure flag states."""
     k = len(m.elements)
-    flags = tuple(
-        DensityMatrix(np.diag([1.0 if j == i else 0.0 for j in range(k)]), (k,))
-        for i in range(k)
-    )
-    final = measure_and_prepare(rho, PreparedEnsembleChannel(m, flags))
-    return mutual_information(final)
+    out = _prepare(rho, m, [np.diag(e) for e in np.eye(k)])
+    return _mutual_info(out.reshape(rho.dims[0], k, rho.dims[0], k))
 
 
 def _cloner_plane(psi: StateVector, phi: StateVector):
@@ -178,11 +177,9 @@ def cloning_recipient_info(theta: float) -> float:
     the example family to two recipients."""
     psi, phi = example_branches(theta)
     out = optimal_state_dependent_cloner(psi, phi)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    mat = 0.5 * tensor(p0, out.alpha.to_density().mat) + 0.5 * tensor(p1, out.beta.to_density().mat)
-    rho = DensityMatrix(mat, (2, 2, 2))
-    return mutual_information(partial_trace(rho, [0, 1]))
+    mat = _flagged_mixture(out.alpha.vec, out.beta.vec)
+    red, _ = partial_trace_mat(mat, (2, 2, 2), [0, 1])
+    return _mutual_info(hermitianize(red).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -200,15 +197,8 @@ def find_crossover() -> CrossoverResult:
     """Bisect for the angle where cloning overtakes LOCC; positive gap
     below the root, negative above."""
     lo, hi = CROSSOVER_BRACKET
-    g_lo, g_hi = _locc_minus_cloning(lo), _locc_minus_cloning(hi)
-    if not (g_lo > 0 > g_hi):
-        # Widen the bracket once about its center, staying inside (0, pi/4).
-        c, w = (lo + hi) / 2, hi - lo
-        lo = max(1e-6, c - w)
-        hi = min(np.pi / 4 - 1e-6, c + w)
-        g_lo, g_hi = _locc_minus_cloning(lo), _locc_minus_cloning(hi)
-        if not (g_lo > 0 > g_hi):
-            raise RuntimeError("no sign change in the crossover bracket")
+    if not _locc_minus_cloning(lo) > 0 > _locc_minus_cloning(hi):
+        raise RuntimeError("no sign change in the crossover bracket")
     while hi - lo > CROSSOVER_TOL:
         mid = (lo + hi) / 2
         if _locc_minus_cloning(mid) > 0:
@@ -243,7 +233,7 @@ def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) 
     d_s, d_a = dims
     if iso.d_in != d_a:
         raise ValueError("isometry input does not match the apparatus dimension")
-    w = tensor(np.eye(d_s), iso.matrix)
+    w = np.kron(np.eye(d_s), iso.matrix)
     if isinstance(state, StateVector):
         vec = w @ state.vec
         full = np.outer(vec, vec.conj())
@@ -257,17 +247,8 @@ def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) 
 
 def recipient_infos(rho: DensityMatrix) -> list[float]:
     """I(S:R_i) for each recipient factor of a system x recipients state."""
-    n = len(rho.dims) - 1
-    return [mutual_information(partial_trace(rho, [0, i + 1])) for i in range(n)]
-
-
-def average_bound_check(psi: StateVector, iso: BroadcastIsometry, tol: float = 1e-8) -> bool:
-    """Pure-input average bound: mean_i I(S:R_i) <= S(rho^S) + tol."""
-    if not isinstance(psi, StateVector):
-        raise ValueError("average bound is proven for pure inputs only")
-    if len(iso.recipient_dims) < 2:
-        raise ValueError("need at least two recipients")
-    out = apply_broadcast(psi, iso)
-    s_s = von_neumann_entropy(partial_trace(out, [0]))
-    infos = recipient_infos(out)
-    return float(np.mean(infos)) <= s_s + tol
+    infos = []
+    for i in range(1, len(rho.dims)):
+        red, kept = partial_trace_mat(rho.mat, rho.dims, [0, i])
+        infos.append(_mutual_info(hermitianize(red).reshape(kept + kept)))
+    return infos

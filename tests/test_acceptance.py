@@ -98,7 +98,9 @@ def test_6_broadcast_bounds():
     for seed in range(50):
         psi = la.StateVector(la.random_pure_state(4, seed + 700).vec, (2, 2))
         iso = proto.random_broadcast_isometry(2, (2, 2, 2), 2, seed + 701)
-        assert proto.average_bound_check(psi, iso)
+        out = proto.apply_broadcast(psi, iso)
+        s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
+        assert np.mean(proto.recipient_infos(out)) <= s_s + 1e-8
     report("6 broadcast bounds", f"max sum-bound slack = {worst:.2e}; copy channel saturates")
 
 

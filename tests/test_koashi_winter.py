@@ -23,7 +23,7 @@ class TestExampleState:
     def test_theta_quarter_pi_is_product(self):
         rho = kw.example_state(np.pi / 4)
         plus = np.full((2, 2), 0.5)
-        assert np.allclose(rho.mat, la.tensor(np.eye(2) / 2, plus), atol=1e-12)
+        assert np.allclose(rho.mat, np.kron(np.eye(2) / 2, plus), atol=1e-12)
 
     def test_branch_overlap_is_sin_two_theta(self):
         for theta in np.linspace(0, np.pi / 4, 50):
@@ -73,7 +73,7 @@ class TestConcurrence:
     def test_local_unitary_invariance(self):
         for seed in range(50):
             rho = la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
-            u = la.tensor(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
+            u = np.kron(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
             rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
             assert abs(kw.concurrence(rho) - kw.concurrence(rot)) < 1e-8
 
