@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .correlations import classical_correlation
-from .koashi_winter import classical_correlation_kw, example_state
+from .koashi_winter import _check_theta, classical_correlation_kw, example_state
 from .protocols import cloning_recipient_info, find_crossover
 
 CSV_HEADER = "theta,I,Ic,discord,I_clone,diff"
@@ -35,10 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_thetas(*thetas: float, message: str | None = None):
+    """The example family's angle range check, as a usage error (with
+    `message` in place of the check's own, if given)."""
+    try:
+        for theta in thetas:
+            _check_theta(theta)
+    except ValueError as exc:
+        raise UsageError(message or str(exc)) from exc
+
+
 def _parse_theta(value: float, in_pi: bool) -> float:
     theta = value * np.pi if in_pi else value
-    if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
-        raise UsageError(f"theta={theta} outside [0, pi/4]")
+    _check_thetas(theta)
     return min(max(theta, 0.0), np.pi / 4)
 
 
@@ -61,8 +70,10 @@ def evaluate_point(theta: float) -> dict:
 def sweep_rows(theta_min: float, theta_max: float, steps: int) -> list[dict]:
     if steps < 2:
         raise UsageError("steps must be >= 2")
-    if not (0 <= theta_min < theta_max <= np.pi / 4 + 1e-12):
-        raise UsageError("need 0 <= theta-min < theta-max <= pi/4")
+    message = "need 0 <= theta-min < theta-max <= pi/4"
+    _check_thetas(theta_min, theta_max, message=message)
+    if not theta_min < theta_max:
+        raise UsageError(message)
     return [evaluate_point(t) for t in np.linspace(theta_min, theta_max, steps)]
 
 

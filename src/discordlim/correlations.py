@@ -10,6 +10,14 @@ eigenvalue pass: closed form for a qubit system, batched `eigvalsh`
 otherwise. The optimizer evaluates J on a Fibonacci hemisphere
 (J(n) = J(-n)) and refines the best cells together by a batched pattern
 search; an optional mode also searches three-outcome rank-1 POVMs.
+
+For a qubit system each round of that search has one more candidate per
+start, the Riemannian Newton point of J. In the Bloch form of the state
+the branch B+- has trace p+- = (1 +- b.n)/2 and Bloch vector
+(a +- T n)/2, so J(n) and its first and second derivatives are closed
+forms of two 2x2 spectra. For a larger system the derivatives of
+sum_i p_i S(B_i / p_i) need the eigenvectors of every branch and divided
+differences of the logarithm, and the search has no Newton candidate.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ THREE_OUTCOME_FTOL = 1e-10
 THREE_OUTCOME_MAXITER = 500
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Rows sigma_mu x sigma_nu, flattened: row 4 mu + nu dotted with the
+# flattened transpose of a two-qubit rho gives Tr[(sigma_mu x sigma_nu) rho].
+_PAULI_PAIRS = np.array([np.kron(a, b).ravel() for a in (np.eye(2), *_PAULI)
+                         for b in (np.eye(2), *_PAULI)])
 
 
 def _fibonacci_hemisphere(n: int) -> np.ndarray:
@@ -197,7 +209,113 @@ def _projective_kernel(rho: DensityMatrix):
     return j_at
 
 
-def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray):
+def _bloch_form(rho: DensityMatrix):
+    """For a qubit system, (c, L) with c = (1, a) / 2 and L = (b; T) / 2
+    from the state's Bloch data C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho]:
+    the branch B+- = (p 1 + v.sigma) / 2 of direction n has
+    (p, v) = c +- L n. Returns (c, L^T); None for a larger system."""
+    if rho.dims[0] != 2:
+        return None
+    coef = (_PAULI_PAIRS @ rho.mat.T.ravel()).real.reshape(4, 4)
+    return coef[:, 0] / 2, coef[:, 1:].T / 2
+
+
+def _chart_derivatives(bloch, starts: np.ndarray, tangent: np.ndarray):
+    """derivs(x) -> (gradient, Hessian) of J ln 2 (J in nats) at the chart
+    points x, (s, 2), of the charts n(x) = normalize(n0 + x_1 e_1 + x_2 e_2)
+    of `_refine`, for a qubit system in the Bloch form `bloch`.
+
+    The gradient is the chart's. The Hessian is the Riemannian one, the
+    ambient Hessian on the tangent plane less (n . grad J), pulled back by
+    the chart's differential; it equals the chart's Hessian wherever the
+    gradient vanishes, which keeps Newton's step quadratic.
+
+    J ln 2 = S(rho^S) ln 2 + sum_+- g(p, v) over the branches (p, v) of
+    `_bloch_form`, with g = e(l_1) + e(l_2) - e(p), e(z) = z ln z and
+    l = (p +- |v|) / 2 the branch's eigenvalues. With t = |v| / p its
+    gradient is (ln(1 - t^2) / 2, artanh(t) v / |v|), up to a constant in
+    p that cancels between the branches, and its Hessian is
+    u q q^T + c (P - w w^T) with u = 1 / (p (1 - t^2)), q = (t, -v / |v|),
+    w = (0, v / |v|), c = artanh(t) / |v| and P = diag(0, 1, 1, 1).
+    Where a branch eigenvalue is at or below ENTROPY_CLIP of the branch's
+    trace the kernel drops it and J is not smooth, so the result is NaN;
+    derivs returns None when that holds for every branch, as it does for a
+    pure state.
+    """
+    c0, lt = bloch
+    l0, le = starts @ lt, tangent @ lt
+
+    def derivs(x: np.ndarray):
+        # mm = |n0 + x E|; ln = L n; y = (p, v) of the - and + branch.
+        mm = np.sqrt(1 + np.add.reduce(x * x, 1))[:, None]
+        ln = (l0 + (x[:, None] @ le)[:, 0]) / mm
+        y = c0 + _SIGNS[:, None, None] * ln
+        v = y[..., 1:]
+        r = np.sqrt(np.add.reduce(v * v, -1))
+        p = y[..., 0]
+        t = r / p
+        smooth = t < 1 - 2 * ENTROPY_CLIP
+        if not smooth.any():
+            return None
+        t[~smooth] = np.nan
+        en = x / mm
+        # Rows 0-1: mm * dy+/dx, the tangent e_i - (e_i . n) n through L;
+        # row 2: L n.
+        a = np.empty((len(x), 3, 4))
+        a[:, 2] = ln
+        np.subtract(le, en[:, :, None] * ln[:, None, :], out=a[:, :2])
+        c = np.arctanh(t) / r
+        u = 1 / (p - r * t)
+        # Each row of `a` dotted with v, then with the branch gradient of g;
+        # the + branch moves with +a, the - branch with -a.
+        d = (a[:, :, 1:] @ v[..., None])[..., 0]
+        a0 = a[:, :, 0]
+        g = np.log1p(-t * t)[..., None] / 2 * a0 + c[..., None] * d
+        g = g[1] - g[0]
+        # The tangent rows of `a` dotted with w and with q.
+        w = (d / r[..., None])[..., :2]
+        q = (t[..., None] * a0)[..., :2] - w
+        h = (u[..., None] * q)[..., :, None] * q[..., None, :]
+        h -= (c[..., None] * w)[..., :, None] * w[..., None, :]
+        # c P projects through the v columns of `a`; the shift by n . grad J
+        # (g[:, 2]) projects onto the tangent plane, I - en en^T.
+        av = a[:, :2, 1:]
+        h = (h[0] + h[1] + (c[0] + c[1])[:, None, None] * (av @ av.swapaxes(1, 2))
+             - g[:, 2, None, None] * (np.eye(2) - en[:, :, None] * en[:, None, :]))
+        return g[:, :2] / mm, h / (mm * mm)[:, :, None]
+
+    return derivs
+
+
+def _newton_moves(derivs, x: np.ndarray, live: np.ndarray):
+    """Newton moves of J on the charts at x, for the starts still `live`:
+    (moves, their lengths, which are usable), or None once no start is
+    live or no branch is smooth. A start whose proposal is non-finite
+    leaves `live`. A move is usable where the tangent Hessian is negative
+    definite, so that it heads for a maximum; the others are zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        found = derivs(x)
+        if found is not None:
+            grad, hess = found
+            det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
+            move = (hess[:, 0, 1, None] * grad[:, ::-1]
+                    - hess.diagonal(0, 1, 2)[:, ::-1] * grad) / det[:, None]
+            live &= np.isfinite(move).all(axis=1)
+            # The tangent step lands, through the chart, at x + move / (1 - k)
+            # with k = x.move / (1 + |x|^2); for k > 1 that point is past the
+            # chart's equator, and x + move / (1 - k) is its antipode, the
+            # same measurement.
+            move /= 1 - (np.add.reduce(x * move, 1, keepdims=True)
+                         / (1 + np.add.reduce(x * x, 1, keepdims=True)))
+            size = np.hypot(move[:, 0], move[:, 1])
+            usable = live & (hess[:, 0, 0] < 0) & (det > 0) & (size < np.inf)
+    if found is None or not live.any():
+        return None
+    move[~usable] = 0
+    return move, size, usable
+
+
+def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
     """Pattern search of J from every start at once; returns the best
     (J, unit direction).
 
@@ -205,6 +323,13 @@ def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray):
     `step` about every start's point on its tangent chart. A start moves
     to its best pattern point when that raises J, and else halves its
     step; the search ends once every step is at most REFINE_STEP_TOL.
+
+    Given a qubit system's Bloch form, each start also proposes its Newton
+    point of J (`_newton_moves`) in the same kernel call. When a start's
+    usable Newton move wins, or no candidate raises its J, its step
+    shrinks to at most the move's length; a start stops once no candidate
+    raises its J and its Newton move is at most REFINE_STEP_TOL. A start
+    whose proposal is non-finite, as at a pure branch, proposes no more.
     """
     s = len(starts)
     rows = np.arange(s)
@@ -218,16 +343,32 @@ def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray):
     x = np.zeros((s, 2))
     j = j_starts.copy()
     step = np.full(s, _GRID_SPACING)
+    derivs = None if bloch is None else _chart_derivatives(bloch, starts, tangent)
+    live = np.ones(s, dtype=bool)
     while step.max() > REFINE_STEP_TOL:
         trial = x[:, None, :] + step[:, None, None] * _PATTERN
+        proposal = None if derivs is None else _newton_moves(derivs, x, live)
+        if proposal is None:
+            derivs = None
+        else:
+            move, size, usable = proposal
+            trial = np.concatenate([trial, (x + move)[:, None]], axis=1)
         dirs = starts[:, None, :] + trial @ tangent
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        # np.linalg.norm's own sum, without its per-call overhead.
+        dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
         jt = j_at(dirs.reshape(-1, 3)).reshape(s, -1)
-        best = np.argmax(jt, axis=1)
-        up = jt[rows, best] > j
+        if proposal is not None:
+            jt[~usable, -1] = -np.inf
+        best = jt.argmax(axis=1)
+        j_best = jt[rows, best]
+        up = j_best > j
         x[up] = trial[rows, best][up]
-        j[up] = jt[rows, best][up]
+        j[up] = j_best[up]
         step[~up] /= 2
+        if proposal is not None:
+            near = usable & (~up | (best == len(_PATTERN)))
+            step[near] = np.minimum(step[near], size[near])
+            step[~up & usable & (size <= REFINE_STEP_TOL)] = 0
     k = int(np.argmax(j))
     n = starts[k] + x[k] @ tangent[k]
     return float(j[k]), n / np.linalg.norm(n)
@@ -332,7 +473,11 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     Default searches two-outcome projective measurements: J on a
     GRID_POINTS Fibonacci hemisphere of directions, then a batched
     pattern search from the best REFINE_STARTS cells down to a step of
-    REFINE_STEP_TOL rad, all through one batched J kernel.
+    REFINE_STEP_TOL rad, all through one batched J kernel. For a qubit
+    system every round also tries each start's Newton point of J, from
+    closed-form derivatives in the state's Bloch form; a larger system
+    has no such closed form (its derivatives need the branch
+    eigenvectors), so its search is the pattern search alone.
     povm_outcomes=3 additionally searches coplanar three-outcome rank-1
     POVMs with Nelder-Mead. Deterministic for fixed input and
     configuration.
@@ -348,7 +493,7 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     j_at = _projective_kernel(rho)
     j_grid = j_at(_GRID)
     top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
-    j_best, n = _refine(j_at, _GRID[top], j_grid[top])
+    j_best, n = _refine(j_at, _GRID[top], j_grid[top], _bloch_form(rho))
     t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)

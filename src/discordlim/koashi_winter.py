@@ -32,8 +32,13 @@ def example_branches(theta: float) -> tuple[StateVector, StateVector]:
     return psi, phi
 
 
+# Angles within THETA_SLACK of [0, pi/4] count as inside it: pi/4 is a
+# rounded float, and an angle given in units of pi is rounded once more.
+THETA_SLACK = 1e-12
+
+
 def _check_theta(theta: float):
-    if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
+    if not -THETA_SLACK <= theta <= np.pi / 4 + THETA_SLACK:
         raise ValueError(f"theta={theta} outside [0, pi/4]")
 
 

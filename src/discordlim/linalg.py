@@ -63,8 +63,10 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
         # Comparisons are written `not err <= tol` so that a NaN residual,
-        # from non-finite entries, fails them.
-        err = np.max(np.abs(mat - mat.conj().T))
+        # from non-finite entries, fails them; inf - inf is that NaN, not a
+        # warning.
+        with np.errstate(invalid="ignore"):
+            err = np.max(np.abs(mat - mat.conj().T))
         if not err <= HERM_TOL:
             raise ValueError(_fault(err, "density matrix", "is not Hermitian"))
         tr = np.trace(mat)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from discordlim import verify
-from discordlim.cli import CSV_HEADER, evaluate_point, format_csv, main, sweep_rows
+from discordlim.cli import CSV_HEADER, UsageError, evaluate_point, format_csv, main, sweep_rows
+from discordlim.koashi_winter import THETA_SLACK, example_state
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,22 @@ class TestPoint:
         assert code == 1
         assert "theta" in err
 
+    def test_theta_range_is_the_library_check(self, capsys):
+        # One range, with one slack: what example_state accepts the CLI
+        # takes, and what it rejects is a usage error with its message.
+        for theta, ok in ((np.pi / 4 + THETA_SLACK / 2, True), (-THETA_SLACK / 2, True),
+                          (np.pi / 4 + 2 * THETA_SLACK, False), (-2 * THETA_SLACK, False)):
+            try:
+                example_state(theta)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert (message is None) == ok
+            code, _, err = run_cli(capsys, "point", f"--theta={theta!r}")
+            assert code == (0 if ok else 1)
+            if not ok:
+                assert err == f"error: {message}\n"
+
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "point")
         assert code == 1
@@ -85,6 +102,12 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--theta-min", "0.2", "--theta-max", "0.1",
                                "--steps", "5", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("bounds", ((0.1, np.pi / 4 + 2 * THETA_SLACK), (-2 * THETA_SLACK, 0.1),
+                                        (0.2, 0.1), (np.nan, 0.1)))
+    def test_sweep_rows_rejects_range(self, bounds):
+        with pytest.raises(UsageError, match="need 0 <= theta-min < theta-max <= pi/4"):
+            sweep_rows(*bounds, 5)
 
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta-min", "0", "--theta-max", "0.2",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,16 +234,19 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             la.StateVector(np.array([1.0, 1.0]), (2,))
 
-    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_rejects_non_finite_entries(self, bad):
         # Every `x > tol` test is False for NaN: the checks must not pass it.
-        for pos in ((0, 0), (0, 1)):
-            mat = np.eye(2, dtype=complex) / 2
-            mat[pos] = bad
+        # The caller gets the ValueError, with no numpy warning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pos in ((0, 0), (0, 1)):
+                mat = np.eye(2, dtype=complex) / 2
+                mat[pos] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    la.DensityMatrix(mat, (2,))
             with pytest.raises(ValueError, match="non-finite"):
-                la.DensityMatrix(mat, (2,))
-        with pytest.raises(ValueError, match="non-finite"):
-            la.StateVector(np.array([1.0, bad]), (2,))
+                la.StateVector(np.array([1.0, bad]), (2,))
 
     def test_binary_entropy_rejects_nan(self):
         with pytest.raises(ValueError):

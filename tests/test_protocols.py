@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,10 +199,13 @@ class TestBroadcast:
         assert infos[0] + infos[1] == pytest.approx(2 * s_s, abs=1e-8)
 
     def test_rejects_non_finite_isometry(self):
-        v = proto.classical_copy_isometry().matrix.copy()
-        v[0, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            proto.BroadcastIsometry(v, (2, 2), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf, -np.inf):
+                v = proto.classical_copy_isometry().matrix.copy()
+                v[0, 1] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    proto.BroadcastIsometry(v, (2, 2), 1)
 
     def test_pass_through_embedding(self):
         # Apparatus goes straight to R1, R2 held in a fixed pure state.
