@@ -1,6 +1,9 @@
 """Closed-form route to the classical-communication limit for rank-2
-states: purify, reduce onto system + purifying qubit, and subtract the
-two-qubit entanglement of formation from the system entropy.
+states (Koashi & Winter, PRA 69, 022309 (2004)): purify onto a qubit C and
+subtract the two-qubit entanglement of formation of rho^SC from the system
+entropy. The concurrence is Wootters' tau form (PRL 80, 2245 (1998)), read
+from a factor w of rho^SC = w w^dagger; for rank 2 the columns of w come
+straight off the purification.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .linalg import (
 )
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
 _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
 
@@ -54,29 +57,20 @@ def _flagged_mixture(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.kron(_P0, np.outer(a, a.conj())) + 0.5 * np.kron(_P1, np.outer(b, b.conj()))
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence, via the Hermitian form
-    sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho)."""
+    """Two-qubit concurrence (Wootters, PRL 80, 2245 (1998)): with
+    rho = w w^dagger, C = max(0, s_1 - s_2 - ...) over the singular values
+    s of tau = w^T (sy x sy) w, which are the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy). Any rank."""
     if rho.dim != 4:
         raise ValueError("concurrence is defined here for two qubits only")
-    return _concurrence(rho.mat)
+    vals, vecs = np.linalg.eigh(rho.mat)
+    return _concurrence(vecs * np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _concurrence(mat: np.ndarray) -> float:
-    rt = _psd_sqrt(mat)
-    m = hermitianize(rt @ _YY @ mat.conj() @ _YY @ rt)
-    vals = np.linalg.eigvalsh(m)[::-1]
-    # The square root amplifies eigenvalue noise (~1e-16) to ~1e-8; treat
-    # anything below 1e-14 as an exact zero.
-    vals[vals < 1e-14] = 0.0
-    lam = np.sqrt(vals)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+def _concurrence(w: np.ndarray) -> float:
+    s = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
+    return float(max(0.0, s[0] - s[1:].sum()))
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
@@ -85,7 +79,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 
 
 def _formation(c: float) -> float:
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return binary_entropy((1.0 + np.sqrt(max(0.0, (1.0 - c) * (1.0 + c)))) / 2.0)
 
 
 def classical_correlation_kw(rho: DensityMatrix) -> float:
@@ -108,5 +102,6 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     if psi.dims[-1] == 1:
         # Pure input: purifying system is trivial and E_F vanishes.
         return s_s
-    rho_sc, _ = partial_trace_mat(np.outer(psi.vec, psi.vec.conj()), psi.dims, [0, 2])
-    return s_s - _formation(_concurrence(hermitianize(rho_sc)))
+    # Column a is w_a = (1 x <a|_A)|Psi> over S x C, so rho^SC = w w^dagger.
+    w = psi.vec.reshape(psi.dims).transpose(0, 2, 1).reshape(4, rho.dims[1])
+    return s_s - _formation(_concurrence(w))

@@ -23,8 +23,8 @@ CHAIN_TOL = 1e-8
 CQ_DISCORD_TOL = 1e-6
 LOCAL_UNITARY_TOL = 1e-6
 PURE_GAP_TOL = 1e-6
-KW_AGREEMENT_TOL = 1e-4
-CONCURRENCE_TOL = 1e-8
+KW_AGREEMENT_TOL = 1e-12
+CONCURRENCE_TOL = 1e-12
 PPT_TOL = 1e-9
 LOCC_EQUALS_J_TOL = 1e-9
 CLONER_SCAN_TOL = 1e-6

@@ -10,6 +10,7 @@ from discordlim import correlations as corr
 from discordlim import koashi_winter as kw
 from discordlim import linalg as la
 from discordlim import protocols as proto
+from discordlim import verify
 from discordlim.cli import evaluate_point, sweep_rows
 
 
@@ -47,7 +48,7 @@ def test_3_dual_route_agreement():
             corr.classical_correlation(rho).classical_info - kw.classical_correlation_kw(rho)
         )
         worst = max(worst, gap)
-        assert gap < 1e-4
+        assert gap < verify.KW_AGREEMENT_TOL
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0
     report("3 dual-route", f"max |optimizer - closed form| = {worst:.2e}, {elapsed:.1f}s")

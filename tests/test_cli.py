@@ -35,7 +35,7 @@ class TestPoint:
     def test_dual_routes_agree(self, capsys):
         code, out, _ = run_cli(capsys, "point", "--theta", "0.125", "--in-pi")
         rec = json.loads(out)
-        assert rec["Ic"] == pytest.approx(rec["Ic_kw"], abs=1e-4)
+        assert rec["Ic"] == pytest.approx(rec["Ic_kw"], abs=verify.KW_AGREEMENT_TOL)
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "point", "--theta", "2.0")

@@ -6,6 +6,7 @@ import pytest
 from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim.koashi_winter import classical_correlation_kw, example_state
+from discordlim.verify import KW_AGREEMENT_TOL
 
 BELL = la.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
@@ -180,7 +181,8 @@ class TestClassicalCorrelation:
     def test_agrees_with_koashi_winter_route(self):
         rho = example_state(np.pi / 8)
         rep = corr.classical_correlation(rho)
-        assert rep.classical_info == pytest.approx(classical_correlation_kw(rho), abs=1e-4)
+        assert rep.classical_info == pytest.approx(classical_correlation_kw(rho),
+                                                   abs=KW_AGREEMENT_TOL)
 
     def test_identity_holds_exactly(self):
         for seed in range(20):

@@ -21,9 +21,9 @@ BUDGETS = {
     "example_state": (lambda: dl.example_state(np.pi / 8), 1),
     "mutual_information": (lambda: dl.mutual_information(RHO), 3),
     "classical_correlation": (lambda: dl.classical_correlation(RHO), 4),
-    "classical_correlation_kw": (lambda: dl.classical_correlation_kw(RHO), 4),
+    "classical_correlation_kw": (lambda: dl.classical_correlation_kw(RHO), 2),
     "cloning_recipient_info": (lambda: dl.cloning_recipient_info(np.pi / 8), 3),
-    "find_crossover": (dl.find_crossover, 200),
+    "find_crossover": (dl.find_crossover, 132),
     "qubit_projective_povm": (lambda: dl.qubit_projective_povm(0.3, 0.2), 1),
     "recipient_infos": (lambda: dl.recipient_infos(BROADCAST), 9),
     "locc_transfer_info": (lambda: dl.locc_transfer_info(RHO, MEASUREMENT), 3),

@@ -4,13 +4,32 @@ import pytest
 from discordlim import koashi_winter as kw
 from discordlim import linalg as la
 from discordlim.correlations import classical_correlation
+from discordlim.verify import KW_AGREEMENT_TOL
 
 SY = np.array([[0, -1j], [1j, 0]])
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# The 200 sweep rows, and golden-ratio angles in [0.78, pi/4] where the
+# state is nearly a product: a concurrence taken from square roots of
+# near-zero eigenvalues of rho rho~ returns half the value at the first
+# pinned angle and loses the fourth digit at the second.
+FAMILY_ANGLES = np.concatenate([
+    np.linspace(0.0, np.pi / 4, 200),
+    0.78 + (np.pi / 4 - 0.78) * ((np.arange(1, 301) * GOLDEN) % 1.0),
+    [0.7852141550988355, 0.7848582881642993],
+])
 
 
 def pure_concurrence_reference(vec):
     """Spin-flip overlap |<psi| sy x sy |psi*>| for a pure two-qubit state."""
     return abs(np.vdot(vec, np.kron(SY, SY) @ vec.conj()))
+
+
+def family_classical_info(theta):
+    """Exact I^c of example_state(theta): its branches are two equiprobable
+    pure states with overlap sin(2 theta), so I^c = 1 - h(sin^2 theta)."""
+    p = np.array([np.sin(theta) ** 2, np.cos(theta) ** 2])
+    p = p[p > 0]
+    return 1.0 + float(np.sum(p * np.log2(p)))
 
 
 class TestExampleState:
@@ -75,7 +94,15 @@ class TestConcurrence:
             rho = la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
             u = np.kron(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
             rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
-            assert abs(kw.concurrence(rho) - kw.concurrence(rot)) < 1e-8
+            assert abs(kw.concurrence(rho) - kw.concurrence(rot)) < 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
+    def test_werner_state(self, p):
+        # p |Psi-><Psi-| + (1 - p) 1/4 is full rank for p < 1, with
+        # C = max(0, (3p - 1)/2).
+        singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+        rho = la.DensityMatrix(p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4, (2, 2))
+        assert kw.concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -126,7 +153,7 @@ class TestClassicalCorrelationKw:
     def test_agrees_with_optimizer_at_pi_over_8(self):
         rho = kw.example_state(np.pi / 8)
         assert kw.classical_correlation_kw(rho) == pytest.approx(
-            classical_correlation(rho).classical_info, abs=1e-4
+            classical_correlation(rho).classical_info, abs=KW_AGREEMENT_TOL
         )
 
     def test_dual_route_agreement_on_coarse_grid(self):
@@ -134,8 +161,22 @@ class TestClassicalCorrelationKw:
             rho = kw.example_state(theta)
             v_kw = kw.classical_correlation_kw(rho)
             v_opt = classical_correlation(rho).classical_info
-            assert abs(v_kw - v_opt) < 1e-4
+            assert abs(v_kw - v_opt) < KW_AGREEMENT_TOL
             assert -1e-9 <= v_kw <= la.von_neumann_entropy(la.partial_trace(rho, [0])) + 1e-9
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_agrees_with_optimizer_on_random_states(self, rank):
+        for seed in range(20):
+            rho = la.DensityMatrix(la.random_density_matrix(4, 500 + seed, rank=rank), (2, 2))
+            assert kw.classical_correlation_kw(rho) == pytest.approx(
+                classical_correlation(rho).classical_info, abs=KW_AGREEMENT_TOL)
+
+    def test_exact_family_value(self):
+        for theta in FAMILY_ANGLES:
+            rho = kw.example_state(theta)
+            want = family_classical_info(theta)
+            assert abs(kw.classical_correlation_kw(rho) - want) <= 1e-14, theta
+            assert abs(classical_correlation(rho).classical_info - want) <= 1e-14, theta
 
     def test_monotone_nonincreasing(self):
         grid = np.linspace(0, np.pi / 4, 101)
@@ -157,7 +198,7 @@ class TestClassicalCorrelationKw:
         eps = 1e-10
         mixed = la.DensityMatrix((1 - eps) * rho.mat + eps * np.outer(null, null.conj()), (2, 2))
         assert kw.classical_correlation_kw(mixed) == pytest.approx(
-            kw.classical_correlation_kw(rho), abs=1e-8)
+            kw.classical_correlation_kw(rho), abs=1e-12)
 
     def test_rejects_non_qubit_system(self):
         rho = la.DensityMatrix(la.random_density_matrix(6, 9, rank=2), (3, 2))
