@@ -121,6 +121,10 @@ def _cmd_crossover(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     results = verify_mod.run_all(args.seed, args.samples)
     failed = False
     for r in results:

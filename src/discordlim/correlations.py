@@ -53,6 +53,8 @@ REFINE_STEP_TOL = 1e-8
 # Nelder-Mead settings of the three-outcome POVM search.
 THREE_OUTCOME_FTOL = 1e-10
 THREE_OUTCOME_MAXITER = 500
+# Smallest weight of a three-outcome candidate: below it an outcome is negative or never seen.
+THREE_OUTCOME_MIN_WEIGHT = 1e-9
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Rows sigma_mu x sigma_nu, flattened: row 4 mu + nu dotted with the
@@ -417,7 +419,7 @@ def _three_outcome_elements(x: np.ndarray) -> list[np.ndarray] | None:
         w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0]))
     except np.linalg.LinAlgError:
         return None
-    if np.min(w) < 1e-9:
+    if np.min(w) < THREE_OUTCOME_MIN_WEIGHT:
         return None
     elems = []
     for wi, ang in zip(w, angles):

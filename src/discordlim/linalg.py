@@ -30,6 +30,8 @@ ENTROPY_CLIP = 1e-12
 # Eigenvalues above this count toward a state's rank, and so toward the
 # ancilla of its purification.
 RANK_TOL = 1e-9
+# A computed probability may leave [0, 1] by this rounding; binary_entropy clips it back.
+PROB_SLACK = 1e-12
 
 LOG2 = np.log(2.0)
 
@@ -161,7 +163,7 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), in bits."""
-    if not -1e-12 <= p <= 1 + 1e-12:
+    if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
         raise ValueError(f"probability {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return entropy_of_spectrum(np.array([p, 1.0 - p]))

@@ -24,6 +24,10 @@ from .linalg import (
 
 CROSSOVER_BRACKET = (0.05 * np.pi, 0.15 * np.pi)
 CROSSOVER_TOL = 1e-6
+# An input overlap must be real and nonnegative; a residue this small is rounding.
+OVERLAP_TOL = 1e-10
+# |psi psi> and |phi phi> closer than this are one input: the cloner plane has one direction.
+IDENTICAL_INPUTS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,13 +111,13 @@ def _cloner_plane(psi: StateVector, phi: StateVector):
     pp = np.kron(psi.vec, psi.vec)
     ff = np.kron(phi.vec, phi.vec)
     s2 = np.vdot(pp, ff)
-    if abs(s2.imag) > 1e-10:
+    if abs(s2.imag) > OVERLAP_TOL:
         raise ValueError("cloner requires a real overlap between the inputs")
     e1 = pp + ff
     e1 = e1 / np.linalg.norm(e1)
     diff = pp - ff
     nd = np.linalg.norm(diff)
-    if nd < 1e-12:
+    if nd < IDENTICAL_INPUTS_TOL:
         return pp, ff, e1, None, 0.0
     e2 = diff / nd
     omega_big = np.arccos(np.clip(s2.real, -1.0, 1.0))
@@ -129,7 +133,7 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("cloner inputs must be qubits")
     s = np.vdot(psi.vec, phi.vec)
-    if abs(s.imag) > 1e-10 or s.real < -1e-10:
+    if abs(s.imag) > OVERLAP_TOL or s.real < -OVERLAP_TOL:
         raise ValueError("cloner requires a real nonnegative input overlap")
     s = max(0.0, s.real)
     pp, ff, e1, e2, omega_big = _cloner_plane(psi, phi)

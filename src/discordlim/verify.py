@@ -2,7 +2,14 @@
 
 Each suite draws its own sample seeds from the master seed, checks one
 documented invariant, and reports a (name, checks, failures) triple.
-Tolerances live in module constants so a harness can tighten them.
+These suites are the one definition of the sampled invariants: Tier-1
+runs each of them once, at a pinned (seed, samples), and asserts that it
+passes with its exact check count; no test re-implements their checks.
+
+Every tolerance a suite compares against is named in the table below,
+with the reason for its value. Suites read the module constants at call
+time, so a harness can tighten them (`perfbench/workloads.py` reads
+KW_AGREEMENT_TOL, CHAIN_TOL, ENTROPY_TOL and SUM_BOUND_TOL by name).
 """
 
 from __future__ import annotations
@@ -16,18 +23,44 @@ from . import koashi_winter as kw
 from . import linalg as la
 from . import protocols as proto
 
+# Tolerance table. At the pinned Tier-1 runs (seed 11) every suite also
+# passes with its tolerance lowered to 1e-12 (CHAIN_TOL and PPT_TOL to
+# 1e-18): the values leave margin for other seeds, not for known error.
+# A reduced state must pass the checks a DensityMatrix makes (linalg.TRACE_TOL, HERM_TOL).
 TRACE_PRESERVE_TOL = 1e-10
+# Entropies of spectra up to dimension 6, each off by eigensolver rounding only.
 ENTROPY_TOL = 1e-9
+# Purify then reduce: two eigendecompositions and an outer product per state.
 ROUNDTRIP_TOL = 1e-9
+# Eigenvalues of a random state lie in [0, 1] up to the PSD_TOL a DensityMatrix allows ...
+SPECTRUM_EDGE_TOL = 1e-10
+# ... and sum to its trace, 1 up to eigensolver rounding.
+SPECTRUM_SUM_TOL = 1e-9
+# 0 <= J <= I^c <= I: J is flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
 CHAIN_TOL = 1e-8
+# A CQ state's optimum is a basis measurement, whose peak narrows as an apparatus weight nears 0.
 CQ_DISCORD_TOL = 1e-6
+# Two independent optimizer runs, on a state and on a locally rotated copy of it.
 LOCAL_UNITARY_TOL = 1e-6
+# Optimizer I^c against entropies of the reductions of a pure state.
 PURE_GAP_TOL = 1e-6
+# Optimizer against the tau-form closed form: both within ~1e-15 of the exact family value.
 KW_AGREEMENT_TOL = 1e-12
+# Singular values of tau are local-unitary invariant; for a pure state E_F is an entropy.
 CONCURRENCE_TOL = 1e-12
+# Each closed-form KW value may exceed the one at the previous grid angle by rounding only.
+KW_MONOTONE_TOL = 1e-9
+# I^c = 1 at theta = 0 (a classical pair) and 0 at pi/4 (a product state).
+KW_ENDPOINT_TOL = 1e-9
+# The partial transpose of a separable output is PSD; its smallest eigenvalue may be 0.
 PPT_TOL = 1e-9
+# Two routes to one J: flag states and a mutual information, or the branch contraction.
 LOCC_EQUALS_J_TOL = 1e-9
+# The brute-force fidelity scan refines its angle only down to a 1e-6 rad step.
 CLONER_SCAN_TOL = 1e-6
+# The cloner outputs keep the inputs' overlap s: <alpha|beta> = cos(arccos s) up to rounding.
+CLONER_OVERLAP_TOL = 1e-8
+# Broadcast bounds are met with equality by the classical copy, so only rounding may exceed them.
 SUM_BOUND_TOL = 1e-8
 
 
@@ -93,7 +126,8 @@ def suite_linalg_purify(seed: int, samples: int) -> SuiteResult:
         res.check(np.max(np.abs(back.mat - rho.mat)) < ROUNDTRIP_TOL,
                   f"purify roundtrip failed, seed {s}")
         vals = np.linalg.eigvalsh(rho.mat)
-        res.check(vals[0] >= -1e-10 and vals[-1] <= 1 + 1e-10 and abs(vals.sum() - 1) < 1e-9,
+        res.check(vals[0] >= -SPECTRUM_EDGE_TOL and vals[-1] <= 1 + SPECTRUM_EDGE_TOL
+                  and abs(vals.sum() - 1) < SPECTRUM_SUM_TOL,
                   f"spectrum out of range, seed {s}")
     return res
 
@@ -173,9 +207,10 @@ def suite_kw_agreement(seed: int, samples: int) -> SuiteResult:
         vals.append(v_kw)
         res.check(abs(v_kw - v_opt) < KW_AGREEMENT_TOL,
                   f"routes disagree at theta={t:.6f}")
-    res.check(all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1)),
+    res.check(all(vals[i + 1] <= vals[i] + KW_MONOTONE_TOL for i in range(len(vals) - 1)),
               "kw route not monotone nonincreasing")
-    res.check(abs(vals[0] - 1.0) < 1e-9 and abs(vals[-1]) < 1e-9, "endpoint values wrong")
+    res.check(abs(vals[0] - 1.0) < KW_ENDPOINT_TOL and abs(vals[-1]) < KW_ENDPOINT_TOL,
+              "endpoint values wrong")
     return res
 
 
@@ -237,7 +272,7 @@ def suite_proto_cloner(seed: int, samples: int) -> SuiteResult:
         res.check(abs(out.fidelity - ref) < CLONER_SCAN_TOL,
                   f"fidelity off the scan at theta={t:.6f}")
         s_in = np.vdot(psi.vec, phi.vec).real
-        res.check(abs(np.vdot(out.alpha.vec, out.beta.vec) - s_in) < 1e-8,
+        res.check(abs(np.vdot(out.alpha.vec, out.beta.vec) - s_in) < CLONER_OVERLAP_TOL,
                   f"output overlap drifted at theta={t:.6f}")
     return res
 

@@ -135,12 +135,31 @@ class TestCrossover:
         assert out1 == out2
 
 
+# The suite list with each suite's check count at --seed 3 --samples 5: a
+# suite added, dropped, renamed or checking more or less shows here.
+VERIFY_SEED_3_SAMPLES_5 = """\
+pass  linalg.partial_trace_preserves_trace_hermiticity  (20 checks, 0 failures)
+pass  linalg.entropy_additivity_and_unitary_invariance  (10 checks, 0 failures)
+pass  linalg.purify_roundtrip_and_spectra  (10 checks, 0 failures)
+pass  correlations.sampled_povm_chain_0_J_Ic_I  (12 checks, 0 failures)
+pass  correlations.cq_states_have_zero_discord  (1 checks, 0 failures)
+pass  correlations.local_unitary_invariance  (2 checks, 0 failures)
+pass  correlations.pure_state_factor_two_gap  (2 checks, 0 failures)
+pass  koashi_winter.dual_route_agreement_and_monotonicity  (8 checks, 0 failures)
+pass  koashi_winter.concurrence_invariance_and_pure_ef  (10 checks, 0 failures)
+pass  protocols.measure_and_prepare_outputs_are_ppt  (5 checks, 0 failures)
+pass  protocols.locc_transfer_matches_J_and_respects_Ic  (20 checks, 0 failures)
+pass  protocols.cloner_matches_brute_force_scan  (12 checks, 0 failures)
+pass  protocols.broadcast_sum_and_average_bounds  (12 checks, 0 failures)
+ok: 13 suites, 124 checks, seed 3
+"""
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--samples", "5")
         assert code == 0
-        assert "ok:" in out
-        assert "FAIL" not in out
+        assert out == VERIFY_SEED_3_SAMPLES_5
 
     def test_same_seed_identical_summaries(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--seed", "3", "--samples", "3")
@@ -154,5 +173,7 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_rejects_bad_sample_count(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--samples", "0")
-        assert code == 2
+        for flag, value in (("--samples", "0"), ("--seed", "-1")):
+            code, _, err = run_cli(capsys, "verify", flag, value)
+            assert code == 1
+            assert flag in err

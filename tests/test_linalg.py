@@ -5,6 +5,7 @@ import pytest
 
 from discordlim import correlations as corr
 from discordlim import linalg as la
+from discordlim import verify
 from discordlim.koashi_winter import example_state
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -76,6 +77,9 @@ class TestPartialTrace:
             red = la.partial_trace(rho, [k % 2])
             assert abs(np.trace(red.mat) - 1.0) < 1e-10
             assert np.max(np.abs(red.mat - red.mat.conj().T)) < 1e-10
+
+    def test_verify_suite_on_two_qubit_states(self, run_suite):
+        run_suite(verify.suite_linalg_partial_trace, seed=11, samples=100, checks=400)
 
 
 class TestEigenvalues:
@@ -151,6 +155,10 @@ class TestEntropy:
             la.von_neumann_entropy(a) + la.von_neumann_entropy(b), abs=1e-9
         )
 
+    def test_verify_suite(self, run_suite):
+        # Additivity over 2 x 3 products, unitary invariance in dimension 4.
+        run_suite(verify.suite_linalg_entropy, seed=11, samples=100, checks=200)
+
     def test_unitary_invariance(self):
         rho = la.random_density_matrix(5, 31)
         u = la.random_unitary(5, 32)
@@ -180,11 +188,9 @@ class TestPurify:
         back = la.partial_trace(out.to_density(), [0, 1])
         assert np.max(np.abs(back.mat - rho.mat)) < 1e-9
 
-    def test_roundtrip_on_random_states(self):
-        for k in range(50):
-            rho = la.DensityMatrix(la.random_density_matrix(4, 100 + k), (4,))
-            back = la.partial_trace(la.purify(rho).to_density(), [0])
-            assert np.max(np.abs(back.mat - rho.mat)) < 1e-9
+    def test_roundtrip_on_random_states(self, run_suite):
+        # 50 states of dimension 4: roundtrip and spectrum range.
+        run_suite(verify.suite_linalg_purify, seed=11, samples=50, checks=100)
 
 
 class TestRandomStates:
