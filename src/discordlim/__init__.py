@@ -36,7 +36,6 @@ from .protocols import (
     PreparedEnsembleChannel,
     apply_broadcast,
     classical_copy_isometry,
-    cloner_fidelity_scan,
     cloning_recipient_info,
     find_crossover,
     locc_transfer_info,

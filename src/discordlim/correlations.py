@@ -9,7 +9,9 @@ Alber, PRA 81, 042105 (2010)), so a whole batch of directions costs one
 eigenvalue pass: closed form for a qubit system, batched `eigvalsh`
 otherwise. The optimizer evaluates J on a Fibonacci hemisphere
 (J(n) = J(-n)) and refines the best cells together by a batched pattern
-search; an optional mode also searches three-outcome rank-1 POVMs.
+search. An optional mode searches coplanar three-outcome rank-1 POVMs,
+closed forms of five angles, by the same pattern search: one branch
+contraction and one eigenvalue pass per round.
 
 For a qubit system each round of that search has one more candidate per
 start, the Riemannian Newton point of J. In the Bloch form of the state
@@ -23,6 +25,7 @@ differences of the logarithm, and the search has no Newton candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,11 +53,10 @@ GRID_POINTS = 256
 REFINE_STARTS = 5
 REFINE_STEP_TOL = 1e-8
 
-# Nelder-Mead settings of the three-outcome POVM search.
-THREE_OUTCOME_FTOL = 1e-10
+# Rounds of the three-outcome POVM search. Its chart is degenerate along
+# the projective POVMs it contains, where a start can creep for thousands
+# of rounds; 11 of 120 seeded states reach this cap, at most 0.6 s a call.
 THREE_OUTCOME_MAXITER = 500
-# Smallest weight of a three-outcome candidate: below it an outcome is negative or never seen.
-THREE_OUTCOME_MIN_WEIGHT = 1e-9
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Rows sigma_mu x sigma_nu, flattened: row 4 mu + nu dotted with the
@@ -79,6 +81,9 @@ _GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
 # The 3x3 pattern about a point, less the point itself.
 _PATTERN = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
 _SIGNS = np.array([-1.0, 1.0])
+# The compass pattern of the three-outcome search: one chart coordinate
+# at a time, both ways.
+_COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
 @dataclass(frozen=True)
@@ -317,48 +322,35 @@ def _newton_moves(derivs, x: np.ndarray, live: np.ndarray):
     return move, size, usable
 
 
-def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
-    """Pattern search of J from every start at once; returns the best
-    (J, unit direction).
+def _pattern_search(evaluate, x: np.ndarray, j: np.ndarray, step: np.ndarray,
+                    pattern: np.ndarray, propose=None, max_rounds=np.inf):
+    """Pattern search of J from every start at once; returns the final
+    (x, J) of every start.
 
-    Each round evaluates, in one kernel call, the 3x3 pattern of side
-    `step` about every start's point on its tangent chart. A start moves
-    to its best pattern point when that raises J, and else halves its
-    step; the search ends once every step is at most REFINE_STEP_TOL.
+    Each round scores, in one `evaluate` call ((s, m, dim) chart points to
+    (s, m) J values, -inf off the measurements), x + step * p for every
+    row p of `pattern` about every start's point x. A start moves to its
+    best point when that strictly raises J, and else halves its step; the
+    search ends once every step is at most REFINE_STEP_TOL, or after
+    `max_rounds` rounds.
 
-    Given a qubit system's Bloch form, each start also proposes its Newton
-    point of J (`_newton_moves`) in the same kernel call. When a start's
-    usable Newton move wins, or no candidate raises its J, its step
-    shrinks to at most the move's length; a start stops once no candidate
-    raises its J and its Newton move is at most REFINE_STEP_TOL. A start
-    whose proposal is non-finite, as at a pure branch, proposes no more.
+    propose(x), if given, adds every start's candidate move to the round
+    as (moves, their lengths, which are usable), or returns None once it
+    has none. When a start's usable move wins, or no candidate raises its
+    J, its step shrinks to at most the move's length; a start stops once
+    no candidate raises its J and its move is at most REFINE_STEP_TOL.
     """
-    s = len(starts)
-    rows = np.arange(s)
-    # Chart n(x) = normalize(n0 + x_1 e_1 + x_2 e_2); it covers the open
-    # hemisphere about n0, which is every measurement since J(n) = J(-n).
-    helper = np.eye(3)[np.argmin(np.abs(starts), axis=1)]
-    e1 = helper - np.sum(helper * starts, axis=1, keepdims=True) * starts
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    tangent = np.stack([e1, np.cross(starts, e1)], axis=1)
-
-    x = np.zeros((s, 2))
-    j = j_starts.copy()
-    step = np.full(s, _GRID_SPACING)
-    derivs = None if bloch is None else _chart_derivatives(bloch, starts, tangent)
-    live = np.ones(s, dtype=bool)
-    while step.max() > REFINE_STEP_TOL:
-        trial = x[:, None, :] + step[:, None, None] * _PATTERN
-        proposal = None if derivs is None else _newton_moves(derivs, x, live)
+    rows = np.arange(len(x))
+    while step.max() > REFINE_STEP_TOL and max_rounds > 0:
+        max_rounds -= 1
+        trial = x[:, None, :] + step[:, None, None] * pattern
+        proposal = None if propose is None else propose(x)
         if proposal is None:
-            derivs = None
+            propose = None
         else:
             move, size, usable = proposal
             trial = np.concatenate([trial, (x + move)[:, None]], axis=1)
-        dirs = starts[:, None, :] + trial @ tangent
-        # np.linalg.norm's own sum, without its per-call overhead.
-        dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
-        jt = j_at(dirs.reshape(-1, 3)).reshape(s, -1)
+        jt = evaluate(trial)
         if proposal is not None:
             jt[~usable, -1] = -np.inf
         best = jt.argmax(axis=1)
@@ -368,9 +360,36 @@ def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
         j[up] = j_best[up]
         step[~up] /= 2
         if proposal is not None:
-            near = usable & (~up | (best == len(_PATTERN)))
+            near = usable & (~up | (best == len(pattern)))
             step[near] = np.minimum(step[near], size[near])
             step[~up & usable & (size <= REFINE_STEP_TOL)] = 0
+    return x, j
+
+
+def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
+    """`_pattern_search` of J over projective directions, with the 3x3
+    pattern on each start's tangent chart; returns the best (J, unit
+    direction). Given a qubit system's Bloch form, each start also proposes
+    its Newton point of J (`_newton_moves`) until its proposal is
+    non-finite, as at a pure branch."""
+    s = len(starts)
+    # Chart n(x) = normalize(n0 + x_1 e_1 + x_2 e_2); it covers the open
+    # hemisphere about n0, which is every measurement since J(n) = J(-n).
+    helper = np.eye(3)[np.argmin(np.abs(starts), axis=1)]
+    e1 = helper - np.sum(helper * starts, axis=1, keepdims=True) * starts
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    tangent = np.stack([e1, np.cross(starts, e1)], axis=1)
+
+    def evaluate(trial):
+        dirs = starts[:, None, :] + trial @ tangent
+        # np.linalg.norm's own sum, without its per-call overhead.
+        dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
+        return j_at(dirs.reshape(-1, 3)).reshape(s, -1)
+
+    propose = None if bloch is None else partial(
+        _newton_moves, _chart_derivatives(bloch, starts, tangent), live=np.ones(s, dtype=bool))
+    x, j = _pattern_search(evaluate, np.zeros((s, 2)), j_starts.copy(),
+                           np.full(s, _GRID_SPACING), _PATTERN, propose)
     k = int(np.argmax(j))
     n = starts[k] + x[k] @ tangent[k]
     return float(j[k]), n / np.linalg.norm(n)
@@ -400,72 +419,56 @@ def random_povm(n_outcomes: int, seed: int, dim: int = 2) -> Povm:
     return Povm(tuple(np.outer(r.conj(), r) for r in w))
 
 
-def _bloch_ket(m: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(m[2], -1.0, 1.0))
-    phi = np.arctan2(m[1], m[0])
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+def _coplanar_povms(x: np.ndarray, frames: np.ndarray):
+    """Elements (s, m, 3, 2, 2) of coplanar rank-1 POVMs at chart points x,
+    (s, m, 5), and which points are POVMs. On the chart of frame
+    (n, e_1, e_2), x = (u_1, u_2, c, d_1, d_2) turns the frame by |u| about
+    n x (u_1 e_1 + u_2 e_2): the sphere's exponential map, singular only
+    180 degrees from n, and every plane has a normal within 90. The
+    Bloch vectors m_i lie at angles a = (c, c + d_1, c + d_2) from the
+    turned e_1. Weights w_i = 2 s_i / sum s, s_i = sin(a_k - a_j) over the
+    cyclic (i, j, k), give sum w_i m_i = 0, so E_i = w_i (1 + m_i.sigma) / 2
+    sum to the identity. A point with a weight not >= 0 (NaN included) is
+    no POVM, and its elements are zero."""
+    u = x[..., :2]
+    r = np.hypot(u[..., :1], u[..., 1:])
+    shift = (-np.sinc(r / (2 * np.pi)) ** 2 / 2 * (u @ frames[:, 1:])
+             - np.sinc(r / np.pi) * frames[:, None, 0])
+    f1 = frames[:, None, 1] + u[..., :1] * shift
+    f2 = frames[:, None, 2] + u[..., 1:] * shift
+    a = x[..., 2:] + np.array([0.0, 1.0, 1.0]) * x[..., 2:3]
+    m = np.cos(a)[..., None] * f1[..., None, :] + np.sin(a)[..., None] * f2[..., None, :]
+    s = np.sin(np.roll(a, -2, axis=-1) - np.roll(a, -1, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 2 * s / s.sum(axis=-1, keepdims=True)
+    ok = (w >= 0).all(axis=-1)
+    w[~ok] = 0
+    return w[..., None, None] / 2 * (np.eye(2) + np.tensordot(m, _PAULI, 1)), ok
 
 
-def _three_outcome_elements(x: np.ndarray) -> list[np.ndarray] | None:
-    """Coplanar three-direction rank-1 POVM from (plane angles, three
-    in-plane angles); None when the weight system is infeasible."""
-    pt, pf, a1, a2, a3 = x
-    nhat = np.array([np.sin(pt) * np.cos(pf), np.sin(pt) * np.sin(pf), np.cos(pt)])
-    e1 = np.array([np.cos(pt) * np.cos(pf), np.cos(pt) * np.sin(pf), -np.sin(pt)])
-    e2 = np.cross(nhat, e1)
-    angles = np.array([a1, a2, a3])
-    a = np.vstack([np.ones(3), np.cos(angles), np.sin(angles)])
-    try:
-        w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0]))
-    except np.linalg.LinAlgError:
-        return None
-    if np.min(w) < THREE_OUTCOME_MIN_WEIGHT:
-        return None
-    elems = []
-    for wi, ang in zip(w, angles):
-        m = np.cos(ang) * e1 + np.sin(ang) * e2
-        v = _bloch_ket(m)
-        elems.append(wi * np.outer(v, v.conj()))
-    return elems
+def _refine_three_outcome(rho: DensityMatrix, proj_theta: float,
+                          proj_phi: float) -> tuple[float, Povm]:
+    """`_pattern_search` of J over coplanar three-outcome rank-1 POVMs from
+    trines in three planes; returns the best POVM and J of its elements."""
+    st, ct, sf, cf = np.sin(proj_theta), np.cos(proj_theta), np.sin(proj_phi), np.cos(proj_phi)
+    # Frames (n, e_1, e_2) of two starts each: the plane through the
+    # projective axis (e_1 = -axis), and the planes normal to x and to y.
+    frames = np.repeat([[(ct * cf, ct * sf, -st), (-st * cf, -st * sf, -ct), (-sf, cf, 0.0)],
+                        [(1.0, 0, 0), (0, 0, -1), (0, 1, 0)],
+                        [(0.0, 1, 0), (0, 0, -1), (-1, 0, 0)]], 2, axis=0)
+    starts = np.array(3 * [(0.0, 0.0, 0.0, 2 * np.pi / 3, 4 * np.pi / 3),
+                           (0.0, 0.0, np.pi / 6, 2 * np.pi / 3, 4 * np.pi / 3)])
 
+    def evaluate(trial):
+        elems, ok = _coplanar_povms(trial, frames)
+        mats = _branch_states(rho, np.concatenate([np.eye(2)[None], elems.reshape(-1, 2, 2)]))
+        return np.where(ok, _j_values(mats, 3).reshape(ok.shape), -np.inf)
 
-def _refine_three_outcome(rho: DensityMatrix, proj_theta: float, proj_phi: float,
-                          floor: float) -> tuple[float, Povm | None]:
-    """Search three-outcome rank-1 POVMs near the optimal projective axis."""
-    from scipy.optimize import minimize
-
-    def neg_j(x):
-        elems = _three_outcome_elements(x)
-        if elems is None:
-            return 1e6
-        return -_j_values(_branch_states(rho, [np.eye(2), *elems]), 3)[0]
-
-    best_j, best_x = floor, None
-    starts = []
-    for plane in ((proj_theta + np.pi / 2, proj_phi), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)):
-        for off in (0.0, np.pi / 6):
-            trine = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3]) + off
-            starts.append(np.array([plane[0], plane[1], *trine]))
-    for x0 in starts:
-        res = minimize(
-            neg_j,
-            x0=x0,
-            method="Nelder-Mead",
-            options={"fatol": THREE_OUTCOME_FTOL, "xatol": THREE_OUTCOME_FTOL,
-                     "maxiter": THREE_OUTCOME_MAXITER},
-        )
-        if -res.fun > best_j:
-            best_j, best_x = -res.fun, res.x
-    if best_x is None:
-        return floor, None
-    elems = _three_outcome_elements(best_x)
-    # Remove the completeness residual of the weight solve by the
-    # congruence T^-1/2 E T^-1/2, T = sum E, which keeps every element PSD,
-    # and report J of the POVM that results: the search can drift to where
-    # the residual, not the measurement, raises J.
-    vals, vecs = np.linalg.eigh(sum(elems))
-    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    povm = Povm(tuple(hermitianize(root @ e @ root) for e in elems))
+    x, j = _pattern_search(evaluate, starts, evaluate(starts[:, None])[:, 0],
+                           np.full(len(starts), _GRID_SPACING), _COMPASS,
+                           max_rounds=THREE_OUTCOME_MAXITER)
+    k = np.argmax(j)
+    povm = Povm(tuple(_coplanar_povms(x[None, None, k], frames[None, k])[0][0, 0]))
     return accessible_information(rho, povm), povm
 
 
@@ -481,8 +484,9 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     has no such closed form (its derivatives need the branch
     eigenvectors), so its search is the pattern search alone.
     povm_outcomes=3 additionally searches coplanar three-outcome rank-1
-    POVMs with Nelder-Mead. Deterministic for fixed input and
-    configuration.
+    POVMs by the same pattern search, from six trines in three planes for
+    at most THREE_OUTCOME_MAXITER rounds, and keeps the result where its J
+    is higher. Deterministic for fixed input and configuration.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
@@ -500,8 +504,8 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)
     if povm_outcomes == 3:
-        j3, povm3 = _refine_three_outcome(rho, t_best, f_best, j_best)
-        if povm3 is not None and j3 > j_best:
+        j3, povm3 = _refine_three_outcome(rho, t_best, f_best)
+        if j3 > j_best:
             j_best, measurement = j3, povm3
     return CorrelationReport(
         mutual_info=i_sa,

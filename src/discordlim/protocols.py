@@ -148,35 +148,6 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
     return ClonerOutput(StateVector(alpha, (2, 2)), StateVector(beta, (2, 2)), float(fid))
 
 
-def cloner_fidelity_scan(psi: StateVector, phi: StateVector,
-                         coarse: float = 1e-3, fine: float = 1e-6) -> float:
-    """Brute-force reference for the best global fidelity: scan pairs of
-    unit vectors in the real 2-plane of the target products subject to
-    the overlap constraint, one angle parameter at the stated resolution."""
-    s = max(0.0, np.vdot(psi.vec, phi.vec).real)
-    pp, ff, e1, e2, omega_big = _cloner_plane(psi, phi)
-    if e2 is None:
-        return 1.0
-    omega = np.arccos(np.clip(s, -1.0, 1.0))
-
-    def best_over(us: np.ndarray) -> tuple[float, float]:
-        # alpha at angle u from |psi psi>; beta constrained so the pair
-        # overlap is cos(omega), two sign branches for the constraint.
-        f_best, u_best = -1.0, 0.0
-        for v in (omega_big - omega - us, omega_big + omega - us):
-            f = 0.5 * (np.cos(us) ** 2 + np.cos(v) ** 2)
-            k = int(np.argmax(f))
-            if f[k] > f_best:
-                f_best, u_best = float(f[k]), float(us[k])
-        return f_best, u_best
-
-    us = np.arange(-np.pi, np.pi, coarse)
-    _, u0 = best_over(us)
-    us = np.arange(u0 - 2 * coarse, u0 + 2 * coarse, fine)
-    f_best, _ = best_over(us)
-    return f_best
-
-
 def cloning_recipient_info(theta: float) -> float:
     """I(S:R1) (= I(S:R2) by symmetry) after cloning the branch states of
     the example family to two recipients."""

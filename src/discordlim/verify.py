@@ -38,12 +38,13 @@ SPECTRUM_EDGE_TOL = 1e-10
 SPECTRUM_SUM_TOL = 1e-9
 # 0 <= J <= I^c <= I: J is flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
 CHAIN_TOL = 1e-8
-# A CQ state's optimum is a basis measurement, whose peak narrows as an apparatus weight nears 0.
-CQ_DISCORD_TOL = 1e-6
+# A CQ state's optimum is a basis measurement. Over seeds 0-19 (100 states
+# per suite) this and the next two checks erred below 2e-15, 4e-15 and 3e-15.
+CQ_DISCORD_TOL = 1e-12
 # Two independent optimizer runs, on a state and on a locally rotated copy of it.
-LOCAL_UNITARY_TOL = 1e-6
+LOCAL_UNITARY_TOL = 1e-12
 # Optimizer I^c against entropies of the reductions of a pure state.
-PURE_GAP_TOL = 1e-6
+PURE_GAP_TOL = 1e-12
 # Optimizer against the tau-form closed form: both within ~1e-15 of the exact family value.
 KW_AGREEMENT_TOL = 1e-12
 # Singular values of tau are local-unitary invariant; for a pure state E_F is an entropy.
@@ -263,12 +264,33 @@ def suite_proto_locc(seed: int, samples: int) -> SuiteResult:
     return res
 
 
+def _cloner_fidelity_scan(psi: la.StateVector, phi: la.StateVector) -> float:
+    """Brute-force reference for the cloner's best global fidelity: scan
+    pairs of unit vectors in the real 2-plane of the target products under
+    the overlap constraint, over one angle at a 1e-3 rad step, then at a
+    1e-6 rad step about the best."""
+    s = max(0.0, np.vdot(psi.vec, phi.vec).real)
+    _, _, _, e2, omega_big = proto._cloner_plane(psi, phi)
+    if e2 is None:
+        return 1.0
+    omega = np.arccos(np.clip(s, -1.0, 1.0))
+
+    def fidelities(us: np.ndarray) -> np.ndarray:
+        # alpha at angle u from |psi psi>; beta at either angle that makes
+        # the pair overlap cos(omega), one row each.
+        return 0.5 * (np.cos(us) ** 2 + np.cos(omega_big + np.array([[-omega], [omega]]) - us) ** 2)
+
+    us = np.arange(-np.pi, np.pi, 1e-3)
+    u0 = us[fidelities(us).argmax() % len(us)]
+    return float(fidelities(np.arange(u0 - 2e-3, u0 + 2e-3, 1e-6)).max())
+
+
 def suite_proto_cloner(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("protocols.cloner_matches_brute_force_scan")
     for t in np.linspace(0.0, np.pi / 4, min(101, max(3, samples + 1))):
         psi, phi = kw.example_branches(t)
         out = proto.optimal_state_dependent_cloner(psi, phi)
-        ref = proto.cloner_fidelity_scan(psi, phi)
+        ref = _cloner_fidelity_scan(psi, phi)
         res.check(abs(out.fidelity - ref) < CLONER_SCAN_TOL,
                   f"fidelity off the scan at theta={t:.6f}")
         s_in = np.vdot(psi.vec, phi.vec).real

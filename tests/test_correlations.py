@@ -193,12 +193,13 @@ class TestClassicalCorrelation:
 
     def test_determinism(self):
         rho = random_two_qubit_state(42)
-        r1 = corr.classical_correlation(rho)
-        r2 = corr.classical_correlation(rho)
-        assert r1.classical_info == r2.classical_info
-        assert r1.discord == r2.discord
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(r1.measurement.elements, r2.measurement.elements))
+        for povm_outcomes in (2, 3):
+            r1 = corr.classical_correlation(rho, povm_outcomes)
+            r2 = corr.classical_correlation(rho, povm_outcomes)
+            assert r1.classical_info == r2.classical_info
+            assert r1.discord == r2.discord
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(r1.measurement.elements, r2.measurement.elements))
 
     def test_three_outcome_mode_matches_projective_on_example_family(self):
         for theta in (0.0, np.pi / 8, np.pi / 5):
@@ -222,6 +223,19 @@ class TestClassicalCorrelation:
         assert len(m.elements) == 3
         assert np.max(np.abs(sum(m.elements) - np.eye(2))) <= corr.POVM_SUM_TOL
         assert min(np.linalg.eigvalsh(e)[0] for e in m.elements) >= -corr.POVM_PSD_TOL
+
+    @pytest.mark.parametrize("seed, rank", [(7350, 4), (3332, 3)])
+    def test_three_outcome_mode_reaches_the_sampled_optimum(self, seed, rank):
+        # On these qutrit-system states a search that stalls returns the
+        # projective value; the coplanar optimum is 0.396679 -> 0.405451
+        # (seed 7350) and 0.485589 -> 0.498483 bits (seed 3332).
+        rho = la.DensityMatrix(la.random_density_matrix(6, seed, rank=rank), (3, 2))
+        r2 = corr.classical_correlation(rho)
+        r3 = corr.classical_correlation(rho, povm_outcomes=3)
+        assert r3.classical_info - r2.classical_info > 8e-3
+        sampled = max(corr.accessible_information(rho, corr.random_povm(3, 50000 + k))
+                      for k in range(3000))
+        assert sampled <= r3.classical_info + verify.CHAIN_TOL
 
 
 class TestOptimizerProperties:
