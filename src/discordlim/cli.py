@@ -116,6 +116,8 @@ def _cmd_crossover(_args) -> int:
         "theta_prime_over_pi": res.theta / np.pi,
         "tolerance_rad": res.tolerance_rad,
         "residual_bits": res.residual_bits,
+        "evaluations": res.evaluations,
+        "bracket_rad": list(res.bracket),
     }, indent=2))
     return 0
 

@@ -161,6 +161,21 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(mat))
 
 
+def von_neumann_entropies(mats) -> np.ndarray:
+    """von Neumann entropies in bits of a sequence of raw square matrices,
+    read as their Hermitian parts: one batched `eigvalsh` per matrix size."""
+    out = np.empty(len(mats))
+    sizes = np.array([m.shape[0] for m in mats])
+    for d in np.unique(sizes):
+        idx = np.flatnonzero(sizes == d)
+        vals = np.linalg.eigvalsh(hermitianize(np.array([mats[k] for k in idx])))
+        # Eigenvalues at or below ENTROPY_CLIP contribute nothing, as in
+        # `entropy_of_spectrum`.
+        logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
+        out[idx] = -(vals * logs).sum(axis=1) / LOG2
+    return out
+
+
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), in bits."""
     if not -PROB_SLACK <= p <= 1 + PROB_SLACK:

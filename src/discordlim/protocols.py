@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import Povm, _branch_states, _mutual_info
+from .correlations import Povm, _branch_states, _mutual_info, accessible_information
 from .koashi_winter import (_flagged_mixture, classical_correlation_kw, example_branches,
                             example_state)
 from .linalg import (
@@ -20,6 +20,7 @@ from .linalg import (
     hermitianize,
     partial_trace_mat,
     random_isometry_mat,
+    von_neumann_entropies,
 )
 
 CROSSOVER_BRACKET = (0.05 * np.pi, 0.15 * np.pi)
@@ -84,25 +85,20 @@ def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> Dens
     d_r = ch.prepared[0].dim
     if any(sigma.dim != d_r for sigma in ch.prepared):
         raise ValueError("prepared states must share one dimension")
-    out = _prepare(rho, ch.measurement, [sigma.mat for sigma in ch.prepared])
-    return DensityMatrix(out, (rho.dims[0], d_r))
-
-
-def _prepare(rho: DensityMatrix, m: Povm, prepared) -> np.ndarray:
-    """sum_i Tr_A[(1 x E_i) rho] x sigma_i for raw sigma_i, as a raw matrix."""
-    d = rho.dims[0] * prepared[0].shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for b, sigma in zip(_branch_states(rho, m.elements), prepared):
-        out += np.kron(b, sigma)
-    return hermitianize(out)
+    branches = _branch_states(rho, ch.measurement.elements)
+    sigmas = np.array([sigma.mat for sigma in ch.prepared])
+    d = rho.dims[0] * d_r
+    out = np.einsum("nij,nkl->ikjl", branches, sigmas).reshape(d, d)
+    return DensityMatrix(hermitianize(out), (rho.dims[0], d_r))
 
 
 def locc_transfer_info(rho: DensityMatrix, m: Povm) -> float:
     """I(S:R) after the optimal LOCC relay: measure with m, prepare
-    orthonormal pure flag states."""
-    k = len(m.elements)
-    out = _prepare(rho, m, [np.diag(e) for e in np.eye(k)])
-    return _mutual_info(out.reshape(rho.dims[0], k, rho.dims[0], k))
+    orthonormal pure flag states |i>. The relay state sum_i B_i x |i><i|
+    is block diagonal in the flags, so its mutual information is
+    S(rho^S) + H(p) - (H(p) + sum_i p_i S(B_i / p_i)), which is J(m)
+    exactly."""
+    return accessible_information(rho, m)
 
 
 def _cloner_plane(psi: StateVector, phi: StateVector):
@@ -160,29 +156,61 @@ def cloning_recipient_info(theta: float) -> float:
 
 @dataclass(frozen=True)
 class CrossoverResult:
+    """The crossover angle, the gap left there, the stop width, the gap
+    evaluations made (the residual's included) and the final bracket,
+    gap > 0 at its lower end and <= 0 at its upper end."""
+
     theta: float
     residual_bits: float
     tolerance_rad: float
+    evaluations: int
+    bracket: tuple[float, float]
 
 
 def _locc_minus_cloning(theta: float) -> float:
     return classical_correlation_kw(example_state(theta)) - cloning_recipient_info(theta)
 
 
+def _false_position(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Zero of the chord through (lo, f_lo) and (hi, f_hi), or the midpoint
+    when that zero is not strictly inside (lo, hi)."""
+    x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    return x if lo < x < hi else (lo + hi) / 2
+
+
 def find_crossover() -> CrossoverResult:
-    """Bisect for the angle where cloning overtakes LOCC; positive gap
-    below the root, negative above."""
+    """Find the angle where cloning overtakes LOCC: the gap is positive
+    below the root and negative above it. The Illinois false-position
+    method (Dowell & Jarratt, BIT 11, 168 (1971)) shrinks the bracket
+    until it is at most CROSSOVER_TOL wide: a chord step, with the gap
+    value at an end halved for the chord when that end is kept twice in
+    a row, so both ends converge. The root reported is the chord zero of
+    the final bracket's gap values."""
     lo, hi = CROSSOVER_BRACKET
-    if not _locc_minus_cloning(lo) > 0 > _locc_minus_cloning(hi):
+    f_lo, f_hi = _locc_minus_cloning(lo), _locc_minus_cloning(hi)
+    evaluations = 2
+    if not f_lo > 0 > f_hi:
         raise RuntimeError("no sign change in the crossover bracket")
+    # Chord weights: the gap values, halved at an end kept twice in a row.
+    w_lo, w_hi = f_lo, f_hi
+    moved = None
     while hi - lo > CROSSOVER_TOL:
-        mid = (lo + hi) / 2
-        if _locc_minus_cloning(mid) > 0:
-            lo = mid
+        x = _false_position(lo, w_lo, hi, w_hi)
+        f = _locc_minus_cloning(x)
+        evaluations += 1
+        if f > 0:
+            lo, f_lo, w_lo = x, f, f
+            if moved == "lo":
+                w_hi /= 2
+            moved = "lo"
         else:
-            hi = mid
-    root = (lo + hi) / 2
-    return CrossoverResult(float(root), float(_locc_minus_cloning(root)), CROSSOVER_TOL)
+            hi, f_hi, w_hi = x, f, f
+            if moved == "hi":
+                w_lo /= 2
+            moved = "hi"
+    root = _false_position(lo, f_lo, hi, f_hi)
+    return CrossoverResult(float(root), float(_locc_minus_cloning(root)), CROSSOVER_TOL,
+                           evaluations + 1, (float(lo), float(hi)))
 
 
 def classical_copy_isometry() -> BroadcastIsometry:
@@ -209,22 +237,33 @@ def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) 
     d_s, d_a = dims
     if iso.d_in != d_a:
         raise ValueError("isometry input does not match the apparatus dimension")
-    w = np.kron(np.eye(d_s), iso.matrix)
+    d_b = iso.ancilla_dim
+    d = d_s * iso.matrix.shape[0] // d_b
     if isinstance(state, StateVector):
-        vec = w @ state.vec
-        full = np.outer(vec, vec.conj())
+        # Amplitudes over (system x recipients, ancilla): the ancilla is
+        # traced out by one product of them with their adjoint.
+        amps = (state.vec.reshape(d_s, d_a) @ iso.matrix.T).reshape(d, d_b)
+        red = amps @ amps.conj().T
     else:
-        full = w @ state.mat @ w.conj().T
-    out_dims = (d_s,) + iso.recipient_dims + (iso.ancilla_dim,)
-    keep = list(range(len(out_dims) - 1))
-    red, kept = partial_trace_mat(full, out_dims, keep)
-    return DensityMatrix(hermitianize(red), kept)
+        v = iso.matrix.reshape(-1, d_b, d_a)
+        red = np.einsum("rba,sauc,qbc->sruq", v, state.mat.reshape(d_s, d_a, d_s, d_a),
+                        v.conj()).reshape(d, d)
+    return DensityMatrix(hermitianize(red), (d_s,) + iso.recipient_dims)
 
 
 def recipient_infos(rho: DensityMatrix) -> list[float]:
-    """I(S:R_i) for each recipient factor of a system x recipients state."""
-    infos = []
-    for i in range(1, len(rho.dims)):
-        red, kept = partial_trace_mat(rho.mat, rho.dims, [0, i])
-        infos.append(_mutual_info(hermitianize(red).reshape(kept + kept)))
-    return infos
+    """I(S:R_i) for each recipient factor of a system x recipients state.
+    S(rho^S) is taken once, and rho^S and the R_i and S R_i marginals go
+    through one batched eigensolve per matrix size."""
+    dims = rho.dims
+    n = len(dims)
+    rho_s = np.trace(rho.mat.reshape(dims[0], -1, dims[0], rho.dim // dims[0]), axis1=1, axis2=3)
+    # Row axes 0..n-1 and column axes n..2n-1; a recipient traced out
+    # shares its row label in the column.
+    t = rho.mat.reshape(dims + dims)
+    pairs = [np.einsum(t, list(range(n)) + [n + k if k in (0, i) else k for k in range(n)],
+                       [0, i, n, n + i]) for i in range(1, n)]
+    singles = [np.trace(p, axis1=0, axis2=2) for p in pairs]
+    joint = [p.reshape(dims[0] * p.shape[1], -1) for p in pairs]
+    s_s, *s = von_neumann_entropies([rho_s, *singles, *joint])
+    return [float(s_s + s_r - s_sr) for s_r, s_sr in zip(s[:n - 1], s[n - 1:])]

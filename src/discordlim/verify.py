@@ -215,6 +215,9 @@ def suite_kw_agreement(seed: int, samples: int) -> SuiteResult:
     return res
 
 
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+
+
 def suite_kw_concurrence(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("koashi_winter.concurrence_invariance_and_pure_ef")
     for k in range(samples):
@@ -229,6 +232,14 @@ def suite_kw_concurrence(seed: int, samples: int) -> SuiteResult:
         ef = kw.entanglement_of_formation(pure)
         s_red = la.von_neumann_entropy(la.partial_trace(pure, [0]))
         res.check(abs(ef - s_red) < CONCURRENCE_TOL, f"EF of pure state wrong, seed {s}")
+        # A locally rotated Werner state p |Psi-><Psi-| + (1 - p) 1/4 has
+        # C = max(0, (3p - 1) / 2): a mixed-state value, which invariance
+        # and pure states alone do not pin down.
+        p = np.random.default_rng(s).random()
+        werner = p * np.outer(_SINGLET, _SINGLET) + (1 - p) * np.eye(4) / 4
+        rot = la.DensityMatrix(la.hermitianize(u @ werner @ u.conj().T), (2, 2))
+        res.check(abs(kw.concurrence(rot) - max(0.0, (3 * p - 1) / 2)) < CONCURRENCE_TOL,
+                  f"Werner concurrence wrong, seed {s}")
     return res
 
 
@@ -247,6 +258,15 @@ def suite_proto_entanglement_breaking(seed: int, samples: int) -> SuiteResult:
     return res
 
 
+def _flag_relay_info(rho: la.DensityMatrix, m: corr.Povm) -> float:
+    """Reference for the LOCC relay: I(S:R) of the measure-and-prepare
+    output with orthonormal flag states, from its three entropies."""
+    k = len(m.elements)
+    flags = tuple(la.DensityMatrix(np.diag(e), (k,)) for e in np.eye(k))
+    return corr.mutual_information(
+        proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, flags)))
+
+
 def suite_proto_locc(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("protocols.locc_transfer_matches_J_and_respects_Ic")
     for k in range(max(1, samples // 20)):
@@ -258,7 +278,7 @@ def suite_proto_locc(seed: int, samples: int) -> SuiteResult:
                 *np.random.default_rng(s + j).uniform([0, 0], [np.pi, 2 * np.pi])
             )
             li = proto.locc_transfer_info(rho, m)
-            res.check(abs(li - corr.accessible_information(rho, m)) < LOCC_EQUALS_J_TOL,
+            res.check(abs(li - _flag_relay_info(rho, m)) < LOCC_EQUALS_J_TOL,
                       f"locc transfer != J, seed {s + j}")
             res.check(li <= ic + CHAIN_TOL, f"locc transfer beats Ic, seed {s + j}")
     return res

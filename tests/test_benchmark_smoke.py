@@ -28,3 +28,15 @@ def test_probe_inputs_pass_their_checks(bench, name):
         out = workload.run(tracing.untraced_call, inp)
         fails, _ = workload.check(tracing.untraced_call, inp, out)
         assert fails == []
+
+
+def test_closed_form_first_two_crossover_cycles_pass_their_checks(bench):
+    # Ops 0-159 of a seeded run: two find_crossover calls and every
+    # broadcast recipient count and ancilla dimension the workload mixes.
+    workloads, tracing = bench
+    workload = workloads.WORKLOADS["closed_form"](0)
+    for i in range(2 * workloads.CROSSOVER_EVERY):
+        inp = workload.input(i)
+        out = workload.run(tracing.untraced_call, inp)
+        fails, _ = workload.check(tracing.untraced_call, inp, out)
+        assert fails == [], f"op {i} ({workload.kind(inp)}): {fails}"

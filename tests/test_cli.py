@@ -146,12 +146,12 @@ pass  correlations.cq_states_have_zero_discord  (1 checks, 0 failures)
 pass  correlations.local_unitary_invariance  (2 checks, 0 failures)
 pass  correlations.pure_state_factor_two_gap  (2 checks, 0 failures)
 pass  koashi_winter.dual_route_agreement_and_monotonicity  (8 checks, 0 failures)
-pass  koashi_winter.concurrence_invariance_and_pure_ef  (10 checks, 0 failures)
+pass  koashi_winter.concurrence_invariance_and_pure_ef  (15 checks, 0 failures)
 pass  protocols.measure_and_prepare_outputs_are_ppt  (5 checks, 0 failures)
 pass  protocols.locc_transfer_matches_J_and_respects_Ic  (20 checks, 0 failures)
 pass  protocols.cloner_matches_brute_force_scan  (12 checks, 0 failures)
 pass  protocols.broadcast_sum_and_average_bounds  (12 checks, 0 failures)
-ok: 13 suites, 124 checks, seed 3
+ok: 13 suites, 129 checks, seed 3
 """
 
 

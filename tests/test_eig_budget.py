@@ -13,7 +13,8 @@ import discordlim as dl
 
 RHO = dl.example_state(np.pi / 8)
 PSI = dl.StateVector(dl.random_pure_state(4, 3).vec, (2, 2))
-BROADCAST = dl.apply_broadcast(PSI, dl.random_broadcast_isometry(2, (2, 2, 2), 2, 5))
+ISOMETRY = dl.random_broadcast_isometry(2, (2, 2, 2), 2, 5)
+BROADCAST = dl.apply_broadcast(PSI, ISOMETRY)
 MEASUREMENT = dl.qubit_projective_povm(0.3, 0.2)
 
 # (call, most eigensolver calls allowed)
@@ -23,10 +24,11 @@ BUDGETS = {
     "classical_correlation": (lambda: dl.classical_correlation(RHO), 4),
     "classical_correlation_kw": (lambda: dl.classical_correlation_kw(RHO), 2),
     "cloning_recipient_info": (lambda: dl.cloning_recipient_info(np.pi / 8), 3),
-    "find_crossover": (dl.find_crossover, 132),
+    "find_crossover": (dl.find_crossover, 54),
     "qubit_projective_povm": (lambda: dl.qubit_projective_povm(0.3, 0.2), 1),
-    "recipient_infos": (lambda: dl.recipient_infos(BROADCAST), 9),
-    "locc_transfer_info": (lambda: dl.locc_transfer_info(RHO, MEASUREMENT), 3),
+    "apply_broadcast": (lambda: dl.apply_broadcast(PSI, ISOMETRY), 1),
+    "recipient_infos": (lambda: dl.recipient_infos(BROADCAST), 2),
+    "locc_transfer_info": (lambda: dl.locc_transfer_info(RHO, MEASUREMENT), 0),
 }
 
 

@@ -90,9 +90,10 @@ class TestConcurrence:
             )
 
     def test_local_unitary_invariance(self, run_suite):
-        # 50 full-rank states under a local unitary, and E_F of 50 pure
-        # states against the entropy of their reduction.
-        run_suite(verify.suite_kw_concurrence, seed=11, samples=50, checks=100)
+        # 50 full-rank states under a local unitary, E_F of 50 pure states
+        # against the entropy of their reduction, and 50 locally rotated
+        # Werner states against C = max(0, (3p - 1)/2).
+        run_suite(verify.suite_kw_concurrence, seed=11, samples=50, checks=150)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
     def test_werner_state(self, p):

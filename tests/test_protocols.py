@@ -12,6 +12,45 @@ from discordlim.koashi_winter import classical_correlation_kw, example_branches,
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
 
 
+def kron_broadcast(state, iso):
+    """Reference for apply_broadcast: (1 x V) rho (1 x V)^dagger with the
+    lifted isometry built by np.kron, then the ancilla traced out."""
+    d_s = state.dims[0]
+    mat = state.to_density().mat if isinstance(state, la.StateVector) else state.mat
+    w = np.kron(np.eye(d_s), iso.matrix)
+    dims = (d_s,) + iso.recipient_dims + (iso.ancilla_dim,)
+    return la.partial_trace_mat(w @ mat @ w.conj().T, dims, range(len(dims) - 1))[0]
+
+
+def pairwise_recipient_infos(rho):
+    """Reference for recipient_infos: the mutual information of each
+    system-recipient reduction, one at a time."""
+    return [corr.mutual_information(la.partial_trace(rho, [0, i])) for i in range(1, len(rho.dims))]
+
+
+def kron_measure_and_prepare(rho, m, sigmas):
+    """Reference for measure_and_prepare: sum_i B_i x sigma_i, with
+    B_i = Tr_A[(1 x E_i) rho] from np.kron and a partial trace."""
+    lift = np.eye(rho.dims[0])
+    return sum(
+        np.kron(la.partial_trace_mat(np.kron(lift, e) @ rho.mat, rho.dims, [0])[0], sigma.mat)
+        for e, sigma in zip(m.elements, sigmas)
+    )
+
+
+def bisected_crossover(width=1e-13):
+    """Reference for find_crossover: plain bisection of the gap to a
+    bracket `width` rad wide; its midpoint."""
+    lo, hi = proto.CROSSOVER_BRACKET
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if proto._locc_minus_cloning(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def qubit_flags():
     return tuple(la.DensityMatrix(np.diag([1.0 - i, float(i)]), (2,)) for i in range(2))
 
@@ -44,6 +83,18 @@ class TestMeasureAndPrepare:
             out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
             assert corr.mutual_information(out) <= corr.mutual_information(rho) + 1e-8
 
+    def test_matches_kron_reference(self):
+        for seed in range(12):
+            d_s = 2 + seed % 2
+            rho = la.DensityMatrix(la.random_density_matrix(2 * d_s, seed + 600), (d_s, 2))
+            m = corr.random_povm(2 + seed % 3, seed)
+            sigmas = tuple(la.DensityMatrix(la.random_density_matrix(3, seed + 700 + i), (3,))
+                           for i in range(len(m.elements)))
+            out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
+            ref = kron_measure_and_prepare(rho, m, sigmas)
+            assert out.dims == (d_s, 3)
+            assert np.max(np.abs(out.mat - ref)) <= 1e-13
+
     def test_outcome_count_mismatch(self):
         with pytest.raises(ValueError):
             proto.PreparedEnsembleChannel(BASIS_POVM, qubit_flags()[:1])
@@ -66,11 +117,12 @@ class TestLoccTransferInfo:
             assert proto.locc_transfer_info(rho, m) == pytest.approx(0.0, abs=1e-9)
 
     def test_equals_accessible_information(self):
+        # locc_transfer_info returns J; the reference builds the relay state.
         for seed in range(50):
             rho = la.DensityMatrix(la.random_density_matrix(4, seed + 400), (2, 2))
             m = corr.random_povm(2 + seed % 2, seed)
             assert proto.locc_transfer_info(rho, m) == pytest.approx(
-                corr.accessible_information(rho, m), abs=1e-9
+                verify._flag_relay_info(rho, m), abs=1e-9
             )
 
     def test_best_measurement_attains_ic(self):
@@ -157,6 +209,15 @@ class TestCrossover:
     def test_deterministic(self):
         assert proto.find_crossover() == proto.find_crossover()
 
+    def test_matches_bisection_reference(self):
+        res = proto.find_crossover()
+        assert abs(res.theta - bisected_crossover()) <= 1e-9
+        assert res.evaluations <= 12
+        lo, hi = res.bracket
+        assert hi - lo <= proto.CROSSOVER_TOL
+        assert lo <= res.theta <= hi
+        assert proto._locc_minus_cloning(lo) > 0 >= proto._locc_minus_cloning(hi)
+
 
 class TestBroadcast:
     def test_classical_copy_gives_each_recipient_one_bit(self):
@@ -186,6 +247,21 @@ class TestBroadcast:
         infos = proto.recipient_infos(out)
         assert infos[0] == pytest.approx(corr.mutual_information(rho), abs=1e-9)
         assert infos[1] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    @pytest.mark.parametrize("recipients", [(2, 2, 2), (2, 3)])
+    def test_matches_kron_reference(self, recipients, ancilla):
+        # A pure qubit-system input, and a mixed qutrit-system one, whose
+        # rho^S shares its size with the 3-dim recipient's marginal.
+        iso = proto.random_broadcast_isometry(2, recipients, ancilla, 17)
+        states = (la.StateVector(la.random_pure_state(4, 5).vec, (2, 2)),
+                  la.DensityMatrix(la.random_density_matrix(6, 6), (3, 2)))
+        for state in states:
+            out = proto.apply_broadcast(state, iso)
+            assert out.dims == state.dims[:1] + recipients
+            assert np.max(np.abs(out.mat - kron_broadcast(state, iso))) <= 1e-13
+            assert np.max(np.abs(np.subtract(proto.recipient_infos(out),
+                                             pairwise_recipient_infos(out)))) <= 1e-13
 
     def test_dimension_mismatch(self):
         iso = proto.random_broadcast_isometry(3, (2, 2), 1, 0)
