@@ -4,7 +4,8 @@ Commands:
   point      -- evaluate I, I^c (optimizer and closed-form routes),
                 discord, cloning information at one angle
   sweep      -- write the angle sweep behind the comparison figure as CSV
-  crossover  -- locate the angle where cloning overtakes LOCC
+  crossover  -- locate the angle where the global-fidelity cloner overtakes
+                LOCC (not where quantum communication starts to win)
   verify     -- run the seeded property suites
 
 Exit codes: 0 success, 1 usage error, 2 numerical/property failure.
@@ -158,7 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-pi", action="store_true", help="interpret angles as multiples of pi")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("crossover", help="find the LOCC/cloning crossover angle")
+    p = sub.add_parser("crossover",
+                       help="find the angle where the global-fidelity cloner overtakes LOCC",
+                       description="Find theta', where the global-fidelity cloner overtakes "
+                                   "LOCC on the example family. It is not where quantum "
+                                   "communication starts to win: a 2 -> 4 broadcast isometry "
+                                   "beats I^c for both recipients at 0.24 rad (~0.0764 pi).")
     p.set_defaults(func=_cmd_crossover)
 
     p = sub.add_parser("verify", help="run the seeded property suites")

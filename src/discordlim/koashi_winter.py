@@ -14,25 +14,28 @@ from .linalg import (
     RANK_TOL,
     DensityMatrix,
     StateVector,
+    _purification,
     binary_entropy,
+    entropy_of_spectrum,
     hermitianize,
-    partial_trace_mat,
-    purify,
-    von_neumann_entropy,
 )
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
-_P0 = np.diag([1.0, 0.0])
-_P1 = np.diag([0.0, 1.0])
 
 
 def example_branches(theta: float) -> tuple[StateVector, StateVector]:
     """The two apparatus branch states with overlap sin(2 theta)."""
+    psi, phi = _branch_vectors(theta)
+    return StateVector(psi, (2,)), StateVector(phi, (2,))
+
+
+def _branch_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The branch states as raw complex vectors (cos, sin) and (sin, cos),
+    after the angle check."""
     _check_theta(theta)
-    psi = StateVector(np.array([np.cos(theta), np.sin(theta)]), (2,))
-    phi = StateVector(np.array([np.sin(theta), np.cos(theta)]), (2,))
-    return psi, phi
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
 
 
 # Angles within THETA_SLACK of [0, pi/4] count as inside it: pi/4 is a
@@ -48,13 +51,17 @@ def _check_theta(theta: float):
 def example_state(theta: float) -> DensityMatrix:
     """Equal mixture of |0><0| x |psi><psi| and |1><1| x |phi><phi| on
     system x apparatus; rank <= 2."""
-    psi, phi = example_branches(theta)
-    return DensityMatrix(_flagged_mixture(psi.vec, phi.vec), (2, 2))
+    return DensityMatrix(_flagged_mixture(*_branch_vectors(theta)), (2, 2))
 
 
 def _flagged_mixture(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b|, as a raw matrix."""
-    return 0.5 * np.kron(_P0, np.outer(a, a.conj())) + 0.5 * np.kron(_P1, np.outer(b, b.conj()))
+    """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b|, as a raw matrix: the
+    two blocks on the diagonal of a zero matrix."""
+    d = a.size
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = 0.5 * np.outer(a, a.conj())
+    out[d:, d:] = 0.5 * np.outer(b, b.conj())
+    return out
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -92,16 +99,24 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
         raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
     if rho.dims[0] != 2:
         raise ValueError("the system factor must be a qubit")
+    return _kw(rho.mat, rho.dims)
+
+
+def _kw(mat: np.ndarray, dims: tuple[int, int]) -> float:
+    """The KW route on a raw qubit x apparatus matrix; raises if its rank
+    exceeds 2."""
+    d_s, d_a = dims
     # The purification keeps exactly the eigenvalues that count toward the
     # rank, so its ancilla dimension is the checked rank.
-    psi = purify(rho)
-    if psi.dims[-1] > 2:
+    psi, rank = _purification(mat)
+    if rank > 2:
         raise ValueError(f"state rank exceeds 2 (eigenvalues above {RANK_TOL}); "
                          "purifying system is not a qubit")
-    s_s = von_neumann_entropy(hermitianize(partial_trace_mat(rho.mat, rho.dims, [0])[0]))
-    if psi.dims[-1] == 1:
+    rho_s = np.trace(mat.reshape(d_s, d_a, d_s, d_a), axis1=1, axis2=3)
+    s_s = entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(rho_s)))
+    if rank == 1:
         # Pure input: purifying system is trivial and E_F vanishes.
         return s_s
     # Column a is w_a = (1 x <a|_A)|Psi> over S x C, so rho^SC = w w^dagger.
-    w = psi.vec.reshape(psi.dims).transpose(0, 2, 1).reshape(4, rho.dims[1])
+    w = psi.reshape(d_s, d_a, rank).transpose(0, 2, 1).reshape(d_s * rank, d_a)
     return s_s - _formation(_concurrence(w))

@@ -188,13 +188,19 @@ def purify(rho: DensityMatrix) -> StateVector:
     """Purification |Psi> = sum_k sqrt(lam_k) |e_k>|k>, ancilla ordered by
     descending eigenvalue; ancilla dimension equals the rank of rho (the
     eigenvalues above RANK_TOL; the rest are dropped)."""
-    vals, vecs = np.linalg.eigh(rho.mat)
+    psi, rank = _purification(rho.mat)
+    return StateVector(psi, rho.dims + (rank,))
+
+
+def _purification(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """`purify` on a raw matrix: the normalized vector over the matrix's
+    space x ancilla, and the ancilla dimension."""
+    vals, vecs = np.linalg.eigh(mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     rank = max(1, int(np.sum(vals > RANK_TOL)))
     amps = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
-    psi = amps.reshape(rho.dim * rank)
-    psi = psi / np.linalg.norm(psi)
-    return StateVector(psi, rho.dims + (rank,))
+    psi = amps.reshape(mat.shape[0] * rank)
+    return psi / np.linalg.norm(psi), rank
 
 
 def random_pure_state(dim: int, seed: int) -> StateVector:

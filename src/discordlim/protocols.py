@@ -1,6 +1,17 @@
 """Communication protocols: measure-and-prepare (LOCC) transfer,
 state-dependent cloning to two recipients, random broadcast isometries,
-and the crossover angle where cloning starts to beat LOCC.
+and the crossover angle theta' where the global-fidelity cloner overtakes
+LOCC on the example family.
+
+theta' is this cloner's crossover, not the angle where quantum
+communication starts to beat LOCC: a numerical search found a 2 -> 4
+broadcast isometry that gives both recipients more than I^c at
+0.24 rad (~0.0764 pi), below theta' (~0.0931 pi).
+
+The family's public functions validate their arguments and results; the
+crossover search runs on their raw cores (`koashi_winter._branch_vectors`,
+`_flagged_mixture` and `_kw`, and `_clone` here), so it builds no
+`DensityMatrix` or `StateVector`.
 """
 
 from __future__ import annotations
@@ -10,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import Povm, _branch_states, _mutual_info, accessible_information
-from .koashi_winter import (_flagged_mixture, classical_correlation_kw, example_branches,
-                            example_state)
+from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
 from .linalg import (
     ISOMETRY_TOL,
     DensityMatrix,
     StateVector,
     _fault,
     hermitianize,
-    partial_trace_mat,
     random_isometry_mat,
     von_neumann_entropies,
 )
@@ -101,11 +110,11 @@ def locc_transfer_info(rho: DensityMatrix, m: Povm) -> float:
     return accessible_information(rho, m)
 
 
-def _cloner_plane(psi: StateVector, phi: StateVector):
+def _cloner_plane(psi: np.ndarray, phi: np.ndarray):
     """Orthonormal basis (bisector, difference) of span{|psi psi>, |phi phi>}
-    plus the in-plane angles of the target products."""
-    pp = np.kron(psi.vec, psi.vec)
-    ff = np.kron(phi.vec, phi.vec)
+    plus the in-plane angles of the target products, for raw vectors."""
+    pp = np.outer(psi, psi).ravel()
+    ff = np.outer(phi, phi).ravel()
     s2 = np.vdot(pp, ff)
     if abs(s2.imag) > OVERLAP_TOL:
         raise ValueError("cloner requires a real overlap between the inputs")
@@ -131,26 +140,31 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
     s = np.vdot(psi.vec, phi.vec)
     if abs(s.imag) > OVERLAP_TOL or s.real < -OVERLAP_TOL:
         raise ValueError("cloner requires a real nonnegative input overlap")
-    s = max(0.0, s.real)
+    alpha, beta, fid = _clone(psi.vec, phi.vec)
+    return ClonerOutput(StateVector(alpha, (2, 2)), StateVector(beta, (2, 2)), fid)
+
+
+def _clone(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cloner on raw qubit vectors whose overlap the caller has
+    checked: (alpha, beta, global fidelity)."""
+    s = max(0.0, np.vdot(psi, phi).real)
     pp, ff, e1, e2, omega_big = _cloner_plane(psi, phi)
     if e2 is None:
         # Identical inputs: perfect cloning.
-        out = StateVector(pp, (2, 2))
-        return ClonerOutput(out, out, 1.0)
+        return pp, pp, 1.0
     omega = np.arccos(np.clip(s, -1.0, 1.0))
     alpha = np.cos(omega / 2) * e1 + np.sin(omega / 2) * e2
     beta = np.cos(omega / 2) * e1 - np.sin(omega / 2) * e2
     fid = 0.5 * (abs(np.vdot(alpha, pp)) ** 2 + abs(np.vdot(beta, ff)) ** 2)
-    return ClonerOutput(StateVector(alpha, (2, 2)), StateVector(beta, (2, 2)), float(fid))
+    return alpha, beta, float(fid)
 
 
 def cloning_recipient_info(theta: float) -> float:
     """I(S:R1) (= I(S:R2) by symmetry) after cloning the branch states of
     the example family to two recipients."""
-    psi, phi = example_branches(theta)
-    out = optimal_state_dependent_cloner(psi, phi)
-    mat = _flagged_mixture(out.alpha.vec, out.beta.vec)
-    red, _ = partial_trace_mat(mat, (2, 2, 2), [0, 1])
+    alpha, beta, _ = _clone(*_branch_vectors(theta))
+    # S x R1 x R2 as (S R1, R2) row and column axes; R2 is traced out.
+    red = np.trace(_flagged_mixture(alpha, beta).reshape(4, 2, 4, 2), axis1=1, axis2=3)
     return _mutual_info(hermitianize(red).reshape(2, 2, 2, 2))
 
 
@@ -168,7 +182,7 @@ class CrossoverResult:
 
 
 def _locc_minus_cloning(theta: float) -> float:
-    return classical_correlation_kw(example_state(theta)) - cloning_recipient_info(theta)
+    return _kw(_flagged_mixture(*_branch_vectors(theta)), (2, 2)) - cloning_recipient_info(theta)
 
 
 def _false_position(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
@@ -179,13 +193,15 @@ def _false_position(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
 
 
 def find_crossover() -> CrossoverResult:
-    """Find the angle where cloning overtakes LOCC: the gap is positive
-    below the root and negative above it. The Illinois false-position
-    method (Dowell & Jarratt, BIT 11, 168 (1971)) shrinks the bracket
-    until it is at most CROSSOVER_TOL wide: a chord step, with the gap
-    value at an end halved for the chord when that end is kept twice in
-    a row, so both ends converge. The root reported is the chord zero of
-    the final bracket's gap values."""
+    """Find the angle theta' where the global-fidelity cloner overtakes
+    LOCC: the gap I^c_KW - I_clone is positive below the root and negative
+    above it. It is not where quantum communication starts to win (see the
+    module docstring). The Illinois false-position method (Dowell &
+    Jarratt, BIT 11, 168 (1971)) shrinks the bracket until it is at most
+    CROSSOVER_TOL wide: a chord step, with the gap value at an end halved
+    for the chord when that end is kept twice in a row, so both ends
+    converge. The root reported is the chord zero of the final bracket's
+    gap values."""
     lo, hi = CROSSOVER_BRACKET
     f_lo, f_hi = _locc_minus_cloning(lo), _locc_minus_cloning(hi)
     evaluations = 2

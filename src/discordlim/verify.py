@@ -290,7 +290,7 @@ def _cloner_fidelity_scan(psi: la.StateVector, phi: la.StateVector) -> float:
     the overlap constraint, over one angle at a 1e-3 rad step, then at a
     1e-6 rad step about the best."""
     s = max(0.0, np.vdot(psi.vec, phi.vec).real)
-    _, _, _, e2, omega_big = proto._cloner_plane(psi, phi)
+    _, _, _, e2, omega_big = proto._cloner_plane(psi.vec, phi.vec)
     if e2 is None:
         return 1.0
     omega = np.arccos(np.clip(s, -1.0, 1.0))

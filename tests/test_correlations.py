@@ -12,6 +12,18 @@ BELL = la.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
 
 
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+# Rows: c of Phi+, Phi-, Psi+, Psi- in 1/4 (1 + sum_i c_i sigma_i x sigma_i).
+BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+def bell_diagonal_classical_info(c):
+    """Exact I^c of a Bell-diagonal state (Luo, PRA 77, 042303 (2008)):
+    with c = max |c_i|, I^c = [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2."""
+    c = np.max(np.abs(c))
+    return 0.5 * ((1 - c) * np.log2(1 - c) + (1 + c) * np.log2(1 + c))
+
+
 def random_two_qubit_state(seed):
     return la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
 
@@ -190,6 +202,17 @@ class TestClassicalCorrelation:
         rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
         with pytest.raises(ValueError):
             corr.classical_correlation(rho)
+
+    def test_bell_diagonal_states_match_the_exact_value(self):
+        # Full rank, so no KW route: the Bell-state weights are Dirichlet
+        # draws, all positive, under seeded local unitaries U_S x U_A.
+        for seed in range(40):
+            c = np.random.default_rng(seed).dirichlet(np.ones(4)) @ BELL_CORRELATIONS
+            mat = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+            u = np.kron(la.random_unitary(2, 100 + seed), la.random_unitary(2, 200 + seed))
+            rho = la.DensityMatrix(la.hermitianize(u @ mat @ u.conj().T), (2, 2))
+            got = corr.classical_correlation(rho).classical_info
+            assert abs(got - bell_diagonal_classical_info(c)) <= verify.KW_AGREEMENT_TOL, seed
 
     def test_determinism(self):
         rho = random_two_qubit_state(42)

@@ -24,7 +24,7 @@ BUDGETS = {
     "classical_correlation": (lambda: dl.classical_correlation(RHO), 4),
     "classical_correlation_kw": (lambda: dl.classical_correlation_kw(RHO), 2),
     "cloning_recipient_info": (lambda: dl.cloning_recipient_info(np.pi / 8), 3),
-    "find_crossover": (dl.find_crossover, 54),
+    "find_crossover": (dl.find_crossover, 45),
     "qubit_projective_povm": (lambda: dl.qubit_projective_povm(0.3, 0.2), 1),
     "apply_broadcast": (lambda: dl.apply_broadcast(PSI, ISOMETRY), 1),
     "recipient_infos": (lambda: dl.recipient_infos(BROADCAST), 2),

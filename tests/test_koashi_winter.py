@@ -19,6 +19,14 @@ FAMILY_ANGLES = np.concatenate([
 ])
 
 
+def kron_example_state(theta):
+    """Reference for example_state: 1/2 |0><0| x |psi><psi| + 1/2 |1><1| x
+    |phi><phi| built with np.kron."""
+    psi, phi = kw.example_branches(theta)
+    return (0.5 * np.kron(np.diag([1.0, 0.0]), np.outer(psi.vec, psi.vec.conj()))
+            + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(phi.vec, phi.vec.conj())))
+
+
 def pure_concurrence_reference(vec):
     """Spin-flip overlap |<psi| sy x sy |psi*>| for a pure two-qubit state."""
     return abs(np.vdot(vec, np.kron(SY, SY) @ vec.conj()))
@@ -43,6 +51,10 @@ class TestExampleState:
         rho = kw.example_state(np.pi / 4)
         plus = np.full((2, 2), 0.5)
         assert np.allclose(rho.mat, np.kron(np.eye(2) / 2, plus), atol=1e-12)
+
+    def test_equals_kron_reference_bit_for_bit(self):
+        for theta in np.linspace(0.0, np.pi / 4, 51):
+            assert (kw.example_state(theta).mat == kron_example_state(theta)).all(), theta
 
     def test_branch_overlap_is_sin_two_theta(self):
         for theta in np.linspace(0, np.pi / 4, 50):

@@ -51,6 +51,12 @@ def bisected_crossover(width=1e-13):
     return (lo + hi) / 2
 
 
+def kron_flagged_mixture(a, b):
+    """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b| built with np.kron."""
+    return (0.5 * np.kron(np.diag([1.0, 0.0]), np.outer(a, a.conj()))
+            + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(b, b.conj())))
+
+
 def qubit_flags():
     return tuple(la.DensityMatrix(np.diag([1.0 - i, float(i)]), (2,)) for i in range(2))
 
@@ -180,16 +186,21 @@ class TestCloningRecipientInfo:
         for theta in (0.1, np.pi / 8, 0.7):
             psi, phi = example_branches(theta)
             out = proto.optimal_state_dependent_cloner(psi, phi)
-            p0 = np.diag([1.0, 0.0])
-            p1 = np.diag([0.0, 1.0])
-            mat = 0.5 * np.kron(p0, out.alpha.to_density().mat) + 0.5 * np.kron(
-                p1, out.beta.to_density().mat
-            )
-            rho = la.DensityMatrix(mat, (2, 2, 2))
+            rho = la.DensityMatrix(kron_flagged_mixture(out.alpha.vec, out.beta.vec), (2, 2, 2))
             i_r1 = corr.mutual_information(la.partial_trace(rho, [0, 1]))
             i_r2 = corr.mutual_information(la.partial_trace(rho, [0, 2]))
             assert i_r1 == pytest.approx(i_r2, abs=1e-9)
             assert proto.cloning_recipient_info(theta) == pytest.approx(i_r1, abs=1e-12)
+
+    def test_equals_the_validated_route_bit_for_bit(self):
+        # The raw cores against the public names: validated branches and
+        # cloner, a kron-built mixture, partial_trace, mutual_information.
+        # pi/4 takes the cloner's identical-inputs branch.
+        for theta in np.linspace(0.0, np.pi / 4, 51):
+            out = proto.optimal_state_dependent_cloner(*example_branches(theta))
+            rho = la.DensityMatrix(kron_flagged_mixture(out.alpha.vec, out.beta.vec), (2, 2, 2))
+            want = corr.mutual_information(la.partial_trace(rho, [0, 1]))
+            assert proto.cloning_recipient_info(theta) == want, theta
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):
