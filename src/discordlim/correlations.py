@@ -33,10 +33,11 @@ from .linalg import (
     ENTROPY_CLIP,
     LOG2,
     DensityMatrix,
+    _bipartite_dims,
     _fault,
+    entropy_of_spectrum,
     hermitianize,
     random_isometry_mat,
-    von_neumann_entropy,
 )
 
 POVM_PSD_TOL = 1e-10
@@ -130,19 +131,20 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def _mutual_info(r: np.ndarray) -> float:
-    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor: three entropies."""
+    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor: three direct
+    eigensolves. `protocols.recipient_infos` batches its marginals into one
+    eigensolve per matrix size instead; for these three small matrices the
+    batch gives the same bits but measured 10-90% slower per call."""
     d = r.shape[0] * r.shape[1]
-    s_s = von_neumann_entropy(hermitianize(np.trace(r, axis1=1, axis2=3)))
-    s_a = von_neumann_entropy(hermitianize(np.trace(r, axis1=0, axis2=2)))
-    return s_s + s_a - von_neumann_entropy(r.reshape(d, d))
+    s_s, s_a, s_sa = (entropy_of_spectrum(np.linalg.eigvalsh(m)) for m in (
+        hermitianize(np.trace(r, axis1=1, axis2=3)), hermitianize(np.trace(r, axis1=0, axis2=2)),
+        r.reshape(d, d)))
+    return s_s + s_a - s_sa
 
 
 def _bipartite(rho: DensityMatrix) -> np.ndarray:
     """rho as a (d_s, d_a, d_s, d_a) tensor."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
-    d_s, d_a = rho.dims
-    return rho.mat.reshape(d_s, d_a, d_s, d_a)
+    return rho.mat.reshape(_bipartite_dims(rho.dims) * 2)
 
 
 def _branch_states(rho: DensityMatrix, elements) -> np.ndarray:
@@ -488,9 +490,7 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     at most THREE_OUTCOME_MAXITER rounds, and keeps the result where its J
     is higher. Deterministic for fixed input and configuration.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
-    if rho.dims[1] != 2:
+    if _bipartite_dims(rho.dims)[1] != 2:
         raise ValueError("measurement optimizer requires a qubit apparatus")
     if povm_outcomes not in (2, 3):
         raise ValueError("povm_outcomes must be 2 or 3")

@@ -14,6 +14,7 @@ from .linalg import (
     RANK_TOL,
     DensityMatrix,
     StateVector,
+    _bipartite_dims,
     _purification,
     binary_entropy,
     entropy_of_spectrum,
@@ -95,9 +96,7 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     Requires a qubit system and rank <= 2 (eigenvalues above RANK_TOL) so
     that C is (at most) a qubit.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite layout, got dims {rho.dims}")
-    if rho.dims[0] != 2:
+    if _bipartite_dims(rho.dims)[0] != 2:
         raise ValueError("the system factor must be a qubit")
     return _kw(rho.mat, rho.dims)
 

@@ -14,6 +14,7 @@ re-check a value the package computed itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,25 +111,38 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
+def _bipartite_dims(dims) -> tuple[int, int]:
+    """(d_s, d_a) of a system x apparatus layout."""
+    if len(dims) != 2:
+        raise ValueError(f"expected a bipartite layout, got dims {dims}")
+    return dims
+
+
+def _contract(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.ndarray:
+    """A raw matrix over `dims` reduced to the sorted factors `keep`, as a
+    (kept rows, kept columns) tensor: one einsum with row labels 0..n-1 and
+    column labels n..2n-1, a traced factor sharing its row label."""
+    n = len(dims)
+    cols = [n + k if k in keep else k for k in range(n)]
+    return np.einsum(np.reshape(mat, dims + dims), list(range(n)) + cols,
+                     keep + [n + k for k in keep])
+
+
 def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partial trace of a raw matrix; returns (reduced matrix, kept dims)."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    try:
+        keep = sorted(set(operator.index(k) for k in keep))
+    except TypeError as exc:
+        raise ValueError(f"keep indices must be integers, got {keep}") from exc
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    remaining = list(range(n))
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        pos = remaining.index(idx)
-        m = len(remaining)
-        t = np.trace(t, axis1=pos, axis2=pos + m)
-        remaining.remove(idx)
-    kept_dims = tuple(dims[i] for i in remaining)
+    kept_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(kept_dims))
-    return t.reshape(d, d), kept_dims
+    return _contract(np.asarray(mat, dtype=complex), dims, keep).reshape(d, d), kept_dims
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -147,18 +161,21 @@ def partial_transpose(mat: np.ndarray, dims, sys: int) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def entropy_of_spectrum(vals: np.ndarray) -> float:
+def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
+    """Entropy in bits of a spectrum, or of each one in a stack; eigenvalues
+    at or below ENTROPY_CLIP contribute nothing."""
     vals = np.asarray(vals, dtype=float)
-    vals = vals[vals > ENTROPY_CLIP]
-    if vals.size == 0:
-        return 0.0
-    return float(-np.sum(vals * np.log(vals)) / LOG2)
+    logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
+    s = -(vals * logs).sum(axis=-1) / LOG2
+    return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """von Neumann entropy in bits."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return entropy_of_spectrum(np.linalg.eigvalsh(mat))
+    """von Neumann entropy in bits. A raw matrix is validated as a
+    one-factor `DensityMatrix` first."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, np.shape(rho)[:1])
+    return entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
 
 
 def von_neumann_entropies(mats) -> np.ndarray:
@@ -169,10 +186,7 @@ def von_neumann_entropies(mats) -> np.ndarray:
     for d in np.unique(sizes):
         idx = np.flatnonzero(sizes == d)
         vals = np.linalg.eigvalsh(hermitianize(np.array([mats[k] for k in idx])))
-        # Eigenvalues at or below ENTROPY_CLIP contribute nothing, as in
-        # `entropy_of_spectrum`.
-        logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
-        out[idx] = -(vals * logs).sum(axis=1) / LOG2
+        out[idx] = entropy_of_spectrum(vals)
     return out
 
 

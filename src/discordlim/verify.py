@@ -290,10 +290,12 @@ def _cloner_fidelity_scan(psi: la.StateVector, phi: la.StateVector) -> float:
     the overlap constraint, over one angle at a 1e-3 rad step, then at a
     1e-6 rad step about the best."""
     s = max(0.0, np.vdot(psi.vec, phi.vec).real)
-    _, _, _, e2, omega_big = proto._cloner_plane(psi.vec, phi.vec)
+    pp, ff, _, e2 = proto._cloner_plane(psi.vec, phi.vec)
     if e2 is None:
         return 1.0
     omega = np.arccos(np.clip(s, -1.0, 1.0))
+    # In-plane angle between the target products.
+    omega_big = np.arccos(np.clip(np.vdot(pp, ff).real, -1.0, 1.0))
 
     def fidelities(us: np.ndarray) -> np.ndarray:
         # alpha at angle u from |psi psi>; beta at either angle that makes

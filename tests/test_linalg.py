@@ -58,11 +58,15 @@ class TestPartialTrace:
         assert np.allclose(red.mat, np.eye(2) / 2, atol=1e-12)
 
     def test_three_party_vs_brute_force(self):
-        mat = la.random_density_matrix(8, 5)
-        rho = la.DensityMatrix(mat, (2, 2, 2))
-        for keep in ([0], [1], [2], [0, 2], [1, 2]):
-            got = la.partial_trace(rho, keep).mat
-            assert np.allclose(got, brute_partial_trace(mat, (2, 2, 2), keep), atol=1e-12)
+        # Three qubits, and a four-factor layout with a qutrit, where up to
+        # three factors are traced out in one reduction.
+        for dims, keeps in (((2, 2, 2), ([0], [1], [2], [0, 2], [1, 2])),
+                            ((2, 3, 2, 2), ([0], [2], [1, 3], [0, 2], [0, 1, 3]))):
+            mat = la.random_density_matrix(int(np.prod(dims)), 5)
+            rho = la.DensityMatrix(mat, dims)
+            for keep in keeps:
+                got = la.partial_trace(rho, keep).mat
+                assert np.allclose(got, brute_partial_trace(mat, dims, keep), atol=1e-12)
 
     def test_errors(self):
         rho = example_state(0.1)
@@ -70,6 +74,16 @@ class TestPartialTrace:
             la.partial_trace(rho, [])
         with pytest.raises(ValueError):
             la.partial_trace(rho, [2])
+
+    def test_keep_indices_must_be_integers(self):
+        # int() would truncate 0.7 to factor 0; an index must be integral.
+        rho = example_state(0.1)
+        for keep in ([0.7], [1.0], [0, "1"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                la.partial_trace(rho, keep)
+        want = la.partial_trace(rho, [1]).mat
+        for index in (np.int64(1), np.uint8(1), True):
+            assert np.array_equal(la.partial_trace(rho, [index]).mat, want)
 
     def test_preserves_trace_and_hermiticity_on_random_states(self):
         for k in range(1000):
@@ -147,6 +161,26 @@ class TestEntropy:
             assert la.binary_entropy(p) == pytest.approx(la.binary_entropy(1 - p), abs=1e-12)
         with pytest.raises(ValueError):
             la.binary_entropy(1.5)
+
+    def test_raw_input_is_validated_as_a_density_matrix(self):
+        # A raw matrix gets the value type's checks and messages: NaN and inf
+        # entries no longer read as zero entropy, nor a negative eigenvalue
+        # as a negative one.
+        for bad, message in ((np.nan, "non-finite"), (np.inf, "non-finite")):
+            mat = np.eye(2, dtype=complex) / 2
+            mat[0, 0] = bad
+            with pytest.raises(ValueError, match=message):
+                la.von_neumann_entropy(mat)
+        with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+            la.von_neumann_entropy(np.diag([2.0, -1.0]))
+        with pytest.raises(ValueError, match="must be square"):
+            la.von_neumann_entropy(np.array([0.5, 0.5]))
+
+    def test_entropy_of_a_stack_is_each_spectrum_entropy(self):
+        vals = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, -1e-17], [0.75, 0.25, 0.0]])
+        want = [la.entropy_of_spectrum(v) for v in vals]
+        assert la.entropy_of_spectrum(vals).tolist() == want
+        assert want == pytest.approx([1.0, 0.0, la.binary_entropy(0.25)], abs=1e-15)
 
     def test_additivity(self):
         a = la.random_density_matrix(2, 21)

@@ -274,6 +274,17 @@ class TestBroadcast:
             assert np.max(np.abs(np.subtract(proto.recipient_infos(out),
                                              pairwise_recipient_infos(out)))) <= 1e-13
 
+    def test_bipartite_state_gives_its_mutual_information_bit_for_bit(self):
+        # The two mutual-information paths, batched (recipient_infos) and
+        # three direct eigensolves (mutual_information), on one recipient.
+        states = [example_state(t) for t in np.linspace(0.0, np.pi / 4, 101)]
+        for d_s, d_a in ((2, 2), (3, 2), (2, 3), (2, 4)):
+            for rank in (1, 2, None):
+                states += [la.DensityMatrix(la.random_density_matrix(d_s * d_a, seed, rank),
+                                            (d_s, d_a)) for seed in range(50)]
+        for rho in states:
+            assert proto.recipient_infos(rho) == [corr.mutual_information(rho)]
+
     def test_dimension_mismatch(self):
         iso = proto.random_broadcast_isometry(3, (2, 2), 1, 0)
         with pytest.raises(ValueError):
