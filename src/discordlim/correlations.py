@@ -24,7 +24,7 @@ differences of the logarithm, and the search has no Newton candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -35,6 +35,8 @@ from .linalg import (
     DensityMatrix,
     _bipartite_dims,
     _fault,
+    _owned,
+    _Rebuilt,
     entropy_of_spectrum,
     hermitianize,
     random_isometry_mat,
@@ -88,31 +90,35 @@ _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
 @dataclass(frozen=True)
-class Povm:
-    """Finite measurement: PSD elements summing to the identity."""
+class Povm(_Rebuilt):
+    """Finite measurement: PSD elements summing to the identity. `_stack`
+    is one read-only array, the identity in row 0 and the elements after
+    it; `elements` are views into it."""
 
     elements: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = tuple(np.ascontiguousarray(np.asarray(e, dtype=complex)) for e in self.elements)
-        if not elems:
+        elements = tuple(self.elements)
+        if not elements:
             raise ValueError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must be square and same-sized")
+        d = np.shape(elements[0])[0]
+        if any(np.shape(e) != (d, d) for e in elements):
+            raise ValueError("POVM elements must be square and same-sized")
+        stack = _owned([np.eye(d), *elements])
         # The completeness residual is NaN for non-finite entries, so it is
         # checked before any eigensolver sees them.
-        err = np.max(np.abs(sum(elems) - np.eye(d)))
+        err = abs(stack[1:].sum(axis=0) - stack[0]).max()
         if not err <= POVM_SUM_TOL:
             raise ValueError(_fault(err, "POVM", "elements do not sum to the identity"))
-        if not np.linalg.eigvalsh(hermitianize(np.array(elems)))[:, 0].min() >= -POVM_PSD_TOL:
+        if not np.linalg.eigvalsh(hermitianize(stack[1:]))[:, 0].min() >= -POVM_PSD_TOL:
             raise ValueError("POVM element is not PSD")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(stack[1:]))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self._stack.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -126,20 +132,20 @@ class CorrelationReport:
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits."""
-    return _mutual_info(_bipartite(rho))
+    """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits; S(rho^SA) comes
+    from the spectrum `rho` keeps."""
+    return _mutual_info(_bipartite(rho), rho._spectrum)
 
 
-def _mutual_info(r: np.ndarray) -> float:
-    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor: three direct
-    eigensolves. `protocols.recipient_infos` batches its marginals into one
-    eigensolve per matrix size instead; for these three small matrices the
-    batch gives the same bits but measured 10-90% slower per call."""
-    d = r.shape[0] * r.shape[1]
-    s_s, s_a, s_sa = (entropy_of_spectrum(np.linalg.eigvalsh(m)) for m in (
-        hermitianize(np.trace(r, axis1=1, axis2=3)), hermitianize(np.trace(r, axis1=0, axis2=2)),
-        r.reshape(d, d)))
-    return s_s + s_a - s_sa
+def _mutual_info(r: np.ndarray, spectrum: np.ndarray) -> float:
+    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor whose spectrum is
+    given: two direct eigensolves, of the marginals.
+    `protocols.recipient_infos` batches its marginals into one eigensolve
+    per matrix size instead; for these small matrices the batch gives the
+    same bits but measured 10-90% slower per call."""
+    s_s, s_a = (entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(m))) for m in (
+        r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)))
+    return s_s + s_a - entropy_of_spectrum(spectrum)
 
 
 def _bipartite(rho: DensityMatrix) -> np.ndarray:
@@ -399,10 +405,10 @@ def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
 
 def accessible_information(rho: DensityMatrix, m: Povm) -> float:
     """J = S(rho^S) - sum_i p_i S(rho_i^S), in bits, for a POVM with any
-    number of outcomes: one contraction gives rho^S and every branch, and
-    `_j_values` takes all of them through one eigenvalue pass."""
-    mats = _branch_states(rho, (np.eye(m.dim), *m.elements))
-    return float(_j_values(mats, len(m.elements))[0])
+    number of outcomes: one contraction of the POVM's stack gives rho^S and
+    every branch, and `_j_values` takes all of them through one eigenvalue
+    pass."""
+    return float(_j_values(_branch_states(rho, m._stack), len(m.elements))[0])
 
 
 def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:

@@ -10,12 +10,19 @@ elsewhere) check their input when they are built from caller input or
 returned to the caller. Inside the package, intermediate states pass as
 raw `mat` arrays (`partial_trace_mat`), so no eigensolver runs only to
 re-check a value the package computed itself.
+
+Each value type copies its input once into an array of its own and marks
+it read-only, so a validated value cannot change afterwards. A
+`DensityMatrix` also keeps the spectrum its PSD check computes:
+`von_neumann_entropy` of a `DensityMatrix` makes no eigensolve, and
+`mutual_information` takes S(rho^SA) from it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,24 +50,53 @@ def _fault(err: float, what: str, problem: str) -> str:
     return f"{what} {problem}" if np.isfinite(err) else f"{what} has non-finite entries"
 
 
+def _as_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of ints; a non-integral one (2.5,
+    or 2.0) raises instead of being truncated. numpy integers pass."""
+    dims = tuple(dims)
+    try:
+        return tuple(map(operator.index, dims))
+    except TypeError as exc:
+        raise ValueError(f"subsystem dimensions must be integers, got {dims}") from exc
+
+
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = _as_dims(dims)
+    if not dims or min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != size:
+    if math.prod(dims) != size:
         raise ValueError(f"product of dims {dims} does not match size {size}")
     return dims
 
 
+def _owned(a) -> np.ndarray:
+    """A read-only complex C-ordered copy of `a`."""
+    out = np.array(a, dtype=complex, order="C")
+    out.flags.writeable = False
+    return out
+
+
+class _Rebuilt:
+    """Base of the value types: a copy or an unpickled value goes through
+    the constructor, so it too owns read-only arrays and keeps what it
+    computed from them."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, PSD operator over a tensor factorization."""
+class DensityMatrix(_Rebuilt):
+    """Hermitian, unit-trace, PSD operator over a tensor factorization.
+    `mat` is a read-only copy of the input; `_spectrum` holds its ascending
+    eigenvalues, from the PSD check."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(np.asarray(self.mat, dtype=complex))
+        mat = _owned(self.mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "mat", mat)
@@ -69,14 +105,17 @@ class DensityMatrix:
         # from non-finite entries, fails them; inf - inf is that NaN, not a
         # warning.
         with np.errstate(invalid="ignore"):
-            err = np.max(np.abs(mat - mat.conj().T))
+            err = abs(mat - mat.conj().T).max()
         if not err <= HERM_TOL:
             raise ValueError(_fault(err, "density matrix", "is not Hermitian"))
-        tr = np.trace(mat)
+        tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        if not np.linalg.eigvalsh(mat)[0] >= -PSD_TOL:
+        vals = np.linalg.eigvalsh(mat)
+        if not vals[0] >= -PSD_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
+        vals.flags.writeable = False
+        object.__setattr__(self, "_spectrum", vals)
 
     @property
     def dim(self) -> int:
@@ -84,14 +123,15 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state over a tensor factorization."""
+class StateVector(_Rebuilt):
+    """Normalized pure state over a tensor factorization; `vec` is a
+    read-only copy of the input, flattened."""
 
     vec: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        vec = np.ascontiguousarray(np.asarray(self.vec, dtype=complex)).ravel()
+        vec = _owned(self.vec).ravel()
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _check_dims(self.dims, vec.size))
         err = abs(np.linalg.norm(vec) - 1.0)
@@ -108,7 +148,7 @@ class StateVector:
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix in a stack."""
-    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def _bipartite_dims(dims) -> tuple[int, int]:
@@ -130,7 +170,7 @@ def _contract(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.nda
 
 def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partial trace of a raw matrix; returns (reduced matrix, kept dims)."""
-    dims = tuple(int(d) for d in dims)
+    dims = _as_dims(dims)
     n = len(dims)
     try:
         keep = sorted(set(operator.index(k) for k in keep))
@@ -141,7 +181,7 @@ def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[in
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
     kept_dims = tuple(dims[i] for i in keep)
-    d = int(np.prod(kept_dims))
+    d = math.prod(kept_dims)
     return _contract(np.asarray(mat, dtype=complex), dims, keep).reshape(d, d), kept_dims
 
 
@@ -153,12 +193,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def partial_transpose(mat: np.ndarray, dims, sys: int) -> np.ndarray:
     """Transpose one tensor factor of a square matrix."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
+    dims = _as_dims(dims)
+    d = math.prod(dims)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    t = np.swapaxes(t, sys, sys + n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
+    return t.swapaxes(sys, sys + len(dims)).reshape(d, d)
 
 
 def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
@@ -171,20 +209,22 @@ def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """von Neumann entropy in bits. A raw matrix is validated as a
-    one-factor `DensityMatrix` first."""
+    """von Neumann entropy in bits, from the spectrum a `DensityMatrix`
+    keeps: no eigensolve of its own. A raw matrix is validated as a
+    one-factor `DensityMatrix` first, its one eigensolve."""
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, np.shape(rho)[:1])
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
+    return entropy_of_spectrum(rho._spectrum)
 
 
 def von_neumann_entropies(mats) -> np.ndarray:
     """von Neumann entropies in bits of a sequence of raw square matrices,
     read as their Hermitian parts: one batched `eigvalsh` per matrix size."""
+    by_size: dict[int, list[int]] = {}
+    for k, m in enumerate(mats):
+        by_size.setdefault(m.shape[0], []).append(k)
     out = np.empty(len(mats))
-    sizes = np.array([m.shape[0] for m in mats])
-    for d in np.unique(sizes):
-        idx = np.flatnonzero(sizes == d)
+    for idx in by_size.values():
         vals = np.linalg.eigvalsh(hermitianize(np.array([mats[k] for k in idx])))
         out[idx] = entropy_of_spectrum(vals)
     return out

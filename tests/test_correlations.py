@@ -62,6 +62,23 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             corr.mutual_information(rho)
 
+    def test_kept_spectrum_gives_the_three_eigensolve_value_bit_for_bit(self):
+        # The raw route: an eigensolve of each marginal and of the state.
+        def three_eigensolves(rho):
+            r = rho.mat.reshape(rho.dims * 2)
+            marginals = (la.hermitianize(np.trace(r, axis1=1, axis2=3)),
+                         la.hermitianize(np.trace(r, axis1=0, axis2=2)), rho.mat)
+            s_s, s_a, s_sa = (la.entropy_of_spectrum(np.linalg.eigvalsh(m)) for m in marginals)
+            return s_s + s_a - s_sa
+
+        states = [example_state(t) for t in np.linspace(0.0, np.pi / 4, 51)]
+        for d_s, d_a in ((2, 2), (3, 2), (2, 3)):
+            for rank in (1, 2, None):
+                states += [la.DensityMatrix(la.random_density_matrix(d_s * d_a, seed, rank),
+                                            (d_s, d_a)) for seed in range(20)]
+        for rho in states:
+            assert corr.mutual_information(rho) == three_eigensolves(rho)
+
 
 class TestPostMeasurementEnsemble:
     def test_classical_state_basis_measurement(self):
@@ -121,6 +138,17 @@ class TestAccessibleInformation:
         with pytest.raises(ValueError, match="POVM dimension does not match the apparatus"):
             corr.accessible_information(rho, BASIS_POVM)
 
+    def test_povm_stack_gives_the_rebuilt_stack_value_bit_for_bit(self):
+        # The kept stack (identity, then the elements) against the stack
+        # rebuilt from the elements on each call.
+        for d_s in (2, 3):
+            for k in (2, 3):
+                for seed in range(20):
+                    rho = la.DensityMatrix(la.random_density_matrix(2 * d_s, seed), (d_s, 2))
+                    m = corr.random_povm(k, seed + 100)
+                    mats = corr._branch_states(rho, (np.eye(2), *m.elements))
+                    assert corr.accessible_information(rho, m) == corr._j_values(mats, k)[0]
+
 
 class TestDiscordGivenMeasurement:
     def test_bell_basis(self):
@@ -166,6 +194,18 @@ class TestPovmType:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 corr.Povm((np.diag([1.0, bad]), np.diag([0.0, 1.0])))
+
+    def test_owns_read_only_copies(self):
+        # Writing into a validated POVM would leave a non-POVM behind it.
+        m = corr.qubit_projective_povm(0.3, 0.2)
+        with pytest.raises(ValueError, match="read-only"):
+            m.elements[0][0, 0] = 5.0
+        elems = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        m = corr.Povm(elems)
+        j = corr.accessible_information(BELL, m)
+        elems[0][0, 0] = 5.0
+        assert np.array_equal(m.elements[0], np.diag([1.0, 0.0]))
+        assert corr.accessible_information(BELL, m) == j
 
     def test_random_povm_valid(self):
         for n in (2, 3, 4):

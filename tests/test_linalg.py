@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from discordlim import correlations as corr
 from discordlim import linalg as la
+from discordlim import protocols as proto
 from discordlim import verify
 from discordlim.koashi_winter import example_state
 
@@ -193,6 +196,16 @@ class TestEntropy:
         # Additivity over 2 x 3 products, unitary invariance in dimension 4.
         run_suite(verify.suite_linalg_entropy, seed=11, samples=100, checks=200)
 
+    def test_kept_spectrum_gives_the_eigensolve_value_bit_for_bit(self):
+        # A DensityMatrix keeps the spectrum of its PSD check; its entropy
+        # equals that of a fresh eigensolve of its matrix, with ==.
+        for dim, dims in ((2, (2,)), (4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2))):
+            for seed in range(25):
+                rho = la.DensityMatrix(la.random_density_matrix(dim, seed, 1 + seed % dim), dims)
+                want = la.entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
+                assert la.von_neumann_entropy(rho) == want
+                assert la.von_neumann_entropy(rho.mat) == want
+
     def test_unitary_invariance(self):
         rho = la.random_density_matrix(5, 31)
         u = la.random_unitary(5, 32)
@@ -287,6 +300,59 @@ class TestValueTypes:
                     la.DensityMatrix(mat, (2,))
             with pytest.raises(ValueError, match="non-finite"):
                 la.StateVector(np.array([1.0, bad]), (2,))
+
+    def test_value_types_own_read_only_copies(self):
+        # Validation holds for the stored array: a change to the caller's
+        # array afterwards does not reach the value, and the value's own
+        # array cannot be written.
+        m = np.eye(2, dtype=complex) / 2
+        rho = la.DensityMatrix(m, (2,))
+        m[0, 0], m[1, 1] = 5.0, -4.0
+        assert la.von_neumann_entropy(rho) == 1.0
+        assert np.array_equal(rho.mat, np.eye(2) / 2)
+        v = np.array([1.0, 0.0], dtype=complex)
+        psi = la.StateVector(v, (2,))
+        v[0] = 7.0
+        assert np.array_equal(psi.vec, [1.0, 0.0])
+        for arr in (rho.mat, psi.vec, psi.to_density().mat):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_copies_own_read_only_arrays(self):
+        # A copy or an unpickled value is built again by its constructor: it
+        # cannot be written either, so its kept spectrum cannot go stale.
+        rho = la.DensityMatrix(la.random_density_matrix(4, 3), (2, 2))
+        psi = la.random_pure_state(4, 3)
+        m = corr.qubit_projective_povm(0.3, 0.2)
+        iso = proto.random_broadcast_isometry(2, (2, 2), 2, 5)
+        for twin in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            arrays = (twin(rho).mat, twin(rho)._spectrum, twin(psi).vec, *twin(m).elements,
+                      twin(m)._stack, twin(iso).matrix)
+            assert not any(a.flags.writeable for a in arrays)
+            assert la.von_neumann_entropy(twin(rho)) == la.von_neumann_entropy(rho)
+
+    def test_rejects_non_integral_dims(self):
+        # int() would truncate 2.9 to 2; a dimension must be integral.
+        for dims in ((2.9, 2.2), (2.0, 2)):
+            with pytest.raises(ValueError, match="must be integers"):
+                la.DensityMatrix(np.eye(4) / 4, dims)
+        with pytest.raises(ValueError, match="must be integers"):
+            la.StateVector(np.ones(4) / 2, (1.5, 4))
+        rho = la.DensityMatrix(np.eye(4) / 4, (np.int64(2), np.uint8(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        assert la.StateVector(np.ones(4) / 2, (np.int32(4),)).dims == (4,)
+
+    def test_raw_reductions_reject_non_integral_dims(self):
+        mat = la.random_density_matrix(4, 3)
+        with pytest.raises(ValueError, match="must be integers"):
+            la.partial_trace_mat(mat, (2.5, 2), [0])
+        with pytest.raises(ValueError, match="must be integers"):
+            la.partial_transpose(mat, (2, 2.0), 1)
+        dims = (np.int64(2), np.int64(2))
+        assert np.array_equal(la.partial_trace_mat(mat, dims, [0])[0],
+                              la.partial_trace_mat(mat, (2, 2), [0])[0])
+        assert np.array_equal(la.partial_transpose(mat, dims, 1),
+                              la.partial_transpose(mat, (2, 2), 1))
 
     def test_binary_entropy_rejects_nan(self):
         with pytest.raises(ValueError):

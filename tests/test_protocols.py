@@ -276,7 +276,8 @@ class TestBroadcast:
 
     def test_bipartite_state_gives_its_mutual_information_bit_for_bit(self):
         # The two mutual-information paths, batched (recipient_infos) and
-        # three direct eigensolves (mutual_information), on one recipient.
+        # direct eigensolves with the kept spectrum (mutual_information), on
+        # one recipient.
         states = [example_state(t) for t in np.linspace(0.0, np.pi / 4, 101)]
         for d_s, d_a in ((2, 2), (3, 2), (2, 3), (2, 4)):
             for rank in (1, 2, None):
@@ -293,6 +294,25 @@ class TestBroadcast:
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):
             proto.BroadcastIsometry(np.ones((4, 2)), (2, 2), 1)
+
+    def test_owns_a_read_only_copy(self):
+        v = proto.classical_copy_isometry().matrix.copy()
+        iso = proto.BroadcastIsometry(v, (2, 2), 1)
+        v[0, 0] = 0.0
+        assert iso.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            iso.matrix[0, 0] = 0.0
+
+    def test_rejects_non_integral_dims(self):
+        v = proto.classical_copy_isometry().matrix
+        for recipients, ancilla in (((2, 2.0), 1), ((4.5,), 1), ((2, 2), 1.0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                proto.BroadcastIsometry(v, recipients, ancilla)
+        for recipients, ancilla in (((2, 2.5), 1), ((2, 2), 2.0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                proto.random_broadcast_isometry(2, recipients, ancilla, 0)
+        iso = proto.random_broadcast_isometry(2, (np.int64(2), np.uint8(2)), np.int32(2), 0)
+        assert iso.recipient_dims == (2, 2) and iso.ancilla_dim == 2
 
 
 class TestAverageBound:
