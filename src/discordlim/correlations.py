@@ -1,25 +1,26 @@
 """Mutual information, accessible information, discord, and the
 measurement optimizer giving the classical-communication limit.
 
-Every J evaluation goes through one kernel, batched over measurements.
-Measuring a qubit apparatus projectively along the unit vector n leaves
-the unnormalized system branches B± = (rho^S ± sum_k n_k M_k) / 2 with
-M_k = Tr_A[(1 x sigma_k) rho] (Luo, PRA 77, 042303 (2008); Ali, Rau &
-Alber, PRA 81, 042105 (2010)), so a whole batch of directions costs one
-eigenvalue pass: closed form for a qubit system, batched `eigvalsh`
-otherwise. The optimizer evaluates J on a Fibonacci hemisphere
-(J(n) = J(-n)) and refines the best cells together by a batched pattern
-search. An optional mode searches coplanar three-outcome rank-1 POVMs,
-closed forms of five angles, by the same pattern search: one branch
-contraction and one eigenvalue pass per round.
+The optimizer reads the state once. A rank-1 element w (1 + m.sigma) / 2
+on a qubit apparatus leaves the unnormalized system branch
+w (rho^S + sum_k m_k M_k) / 2 with M_k = Tr_A[(1 x sigma_k) rho] (Luo,
+PRA 77, 042303 (2008); Ali, Rau & Alber, PRA 81, 042105 (2010)), so one
+contraction of the state (`_kernel`) gives the branches of every
+measurement searched, and a batch of them costs one eigenvalue pass:
+closed form for a qubit system, batched `eigvalsh` otherwise. The
+optimizer evaluates projective J (w = 1, m = +-n) on a Fibonacci
+hemisphere (J(n) = J(-n)) and refines the best cells together by a
+batched pattern search. An optional mode searches coplanar three-outcome
+rank-1 POVMs, closed forms of five angles, by the same pattern search.
 
 For a qubit system each round of that search has one more candidate per
-start, the Riemannian Newton point of J. In the Bloch form of the state
-the branch B+- has trace p+- = (1 +- b.n)/2 and Bloch vector
-(a +- T n)/2, so J(n) and its first and second derivatives are closed
-forms of two 2x2 spectra. For a larger system the derivatives of
-sum_i p_i S(B_i / p_i) need the eigenvectors of every branch and divided
-differences of the logarithm, and the search has no Newton candidate.
+start, the Riemannian Newton point of J. In the Bloch form of the state,
+read off the same contraction, the branch B+- has trace
+p+- = (1 +- b.n)/2 and Bloch vector (a +- T n)/2, so J(n) and its first
+and second derivatives are closed forms of two 2x2 spectra. For a larger
+system the derivatives of sum_i p_i S(B_i / p_i) need the eigenvectors
+of every branch and divided differences of the logarithm, and the search
+has no Newton candidate.
 """
 
 from __future__ import annotations
@@ -58,14 +59,12 @@ REFINE_STEP_TOL = 1e-8
 
 # Rounds of the three-outcome POVM search. Its chart is degenerate along
 # the projective POVMs it contains, where a start can creep for thousands
-# of rounds; 11 of 120 seeded states reach this cap, at most 0.6 s a call.
+# of rounds; 8 of 120 seeded Ginibre states (d_s 2 and 3, ranks 1, 2 and
+# full) reach this cap, at most 0.52 s a call on a shared 2-vCPU host.
 THREE_OUTCOME_MAXITER = 500
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-# Rows sigma_mu x sigma_nu, flattened: row 4 mu + nu dotted with the
-# flattened transpose of a two-qubit rho gives Tr[(sigma_mu x sigma_nu) rho].
-_PAULI_PAIRS = np.array([np.kron(a, b).ravel() for a in (np.eye(2), *_PAULI)
-                         for b in (np.eye(2), *_PAULI)])
+# sigma_mu for mu = 0..3: the identity, then sigma_x, sigma_y, sigma_z.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _fibonacci_hemisphere(n: int) -> np.ndarray:
@@ -89,14 +88,14 @@ _SIGNS = np.array([-1.0, 1.0])
 _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm(_Rebuilt):
     """Finite measurement: PSD elements summing to the identity. `_stack`
     is one read-only array, the identity in row 0 and the elements after
     it; `elements` are views into it."""
 
     elements: tuple[np.ndarray, ...]
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -204,41 +203,45 @@ def _j_values(mats: np.ndarray, k: int) -> np.ndarray:
     return rel[1:].reshape(-1, k).sum(axis=1) - rel[0]
 
 
-def _projective_kernel(rho: DensityMatrix):
-    """J along each row of an (N, 3) array of unit apparatus directions.
-    rho^S and the M_k / 2 come from one branch contraction per state; the
-    branches of direction n are rho^S / 2 +- sum_k n_k M_k / 2."""
+def _kernel(rho: DensityMatrix):
+    """J of rank-1 measurements from one contraction X = (rho^S, M_x, M_y,
+    M_z) of the state: (j_at, j_of, bloch).
+
+    j_at(n) is J along each unit row of n, (N, 3): branches
+    rho^S / 2 +- n.M / 2. j_of(w, m) is J of N rank-1 POVMs, weights
+    (N, k) and Bloch vectors (N, k, 3): branches w_i (rho^S + m_i.M) / 2.
+    j_at(n) is j_of(1, +-n) bit for bit, in the cheaper +- form. bloch,
+    for a qubit system (else None), is (c, L^T): c = C[:, 0] / 2 and
+    L = C[:, 1:] / 2 of C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho]
+    = Tr[sigma_mu X_nu]; the branch B+- = (p 1 + v.sigma) / 2 of
+    direction n has (p, v) = c +- L n."""
     d = rho.dims[0]
-    rho_s, *m = hermitianize(_branch_states(rho, (np.eye(2), *_PAULI)))
-    half_m = (np.array(m) / 2).reshape(3, d * d)
-    half_s = rho_s / 2
+    x = hermitianize(_branch_states(rho, _PAULI))
+    half_s = x[0] / 2
+    half_m = (x[1:] / 2).reshape(3, d * d)
 
     def j_at(directions: np.ndarray) -> np.ndarray:
         nm = (directions @ half_m).reshape(-1, d, d)
         mats = np.empty((2 * len(nm) + 1, d, d), dtype=complex)
-        mats[0] = rho_s
+        mats[0] = x[0]
         np.add(half_s, nm, out=mats[1::2])
         np.subtract(half_s, nm, out=mats[2::2])
         return _j_values(mats, 2)
 
-    return j_at
+    def j_of(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        branches = w.reshape(-1, 1) * (half_s.ravel() + m.reshape(-1, 3) @ half_m)
+        return _j_values(np.concatenate([x[:1], branches.reshape(-1, d, d)]), w.shape[1])
 
-
-def _bloch_form(rho: DensityMatrix):
-    """For a qubit system, (c, L) with c = (1, a) / 2 and L = (b; T) / 2
-    from the state's Bloch data C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho]:
-    the branch B+- = (p 1 + v.sigma) / 2 of direction n has
-    (p, v) = c +- L n. Returns (c, L^T); None for a larger system."""
-    if rho.dims[0] != 2:
-        return None
-    coef = (_PAULI_PAIRS @ rho.mat.T.ravel()).real.reshape(4, 4)
-    return coef[:, 0] / 2, coef[:, 1:].T / 2
+    if d != 2:
+        return j_at, j_of, None
+    coef = np.einsum("mij,nji->mn", _PAULI, x).real
+    return j_at, j_of, (coef[:, 0] / 2, coef[:, 1:].T / 2)
 
 
 def _chart_derivatives(bloch, starts: np.ndarray, tangent: np.ndarray):
     """derivs(x) -> (gradient, Hessian) of J ln 2 (J in nats) at the chart
     points x, (s, 2), of the charts n(x) = normalize(n0 + x_1 e_1 + x_2 e_2)
-    of `_refine`, for a qubit system in the Bloch form `bloch`.
+    of `_refine`, for a qubit system in the Bloch form `bloch` of `_kernel`.
 
     The gradient is the chart's. The Hessian is the Riemannian one, the
     ambient Hessian on the tangent plane less (n . grad J), pulled back by
@@ -246,7 +249,7 @@ def _chart_derivatives(bloch, starts: np.ndarray, tangent: np.ndarray):
     gradient vanishes, which keeps Newton's step quadratic.
 
     J ln 2 = S(rho^S) ln 2 + sum_+- g(p, v) over the branches (p, v) of
-    `_bloch_form`, with g = e(l_1) + e(l_2) - e(p), e(z) = z ln z and
+    the Bloch form, with g = e(l_1) + e(l_2) - e(p), e(z) = z ln z and
     l = (p +- |v|) / 2 the branch's eigenvalues. With t = |v| / p its
     gradient is (ln(1 - t^2) / 2, artanh(t) v / |v|), up to a constant in
     p that cancels between the branches, and its Hessian is
@@ -428,16 +431,16 @@ def random_povm(n_outcomes: int, seed: int, dim: int = 2) -> Povm:
 
 
 def _coplanar_povms(x: np.ndarray, frames: np.ndarray):
-    """Elements (s, m, 3, 2, 2) of coplanar rank-1 POVMs at chart points x,
-    (s, m, 5), and which points are POVMs. On the chart of frame
-    (n, e_1, e_2), x = (u_1, u_2, c, d_1, d_2) turns the frame by |u| about
-    n x (u_1 e_1 + u_2 e_2): the sphere's exponential map, singular only
-    180 degrees from n, and every plane has a normal within 90. The
-    Bloch vectors m_i lie at angles a = (c, c + d_1, c + d_2) from the
-    turned e_1. Weights w_i = 2 s_i / sum s, s_i = sin(a_k - a_j) over the
-    cyclic (i, j, k), give sum w_i m_i = 0, so E_i = w_i (1 + m_i.sigma) / 2
-    sum to the identity. A point with a weight not >= 0 (NaN included) is
-    no POVM, and its elements are zero."""
+    """Weights (s, m, 3) and Bloch vectors (s, m, 3, 3) of coplanar rank-1
+    POVMs at chart points x, (s, m, 5), and which points are POVMs. On the
+    chart of frame (n, e_1, e_2), x = (u_1, u_2, c, d_1, d_2) turns the
+    frame by |u| about n x (u_1 e_1 + u_2 e_2): the sphere's exponential
+    map, singular only 180 degrees from n, and every plane has a normal
+    within 90. The Bloch vectors m_i lie at angles a = (c, c + d_1, c + d_2)
+    from the turned e_1. Weights w_i = 2 s_i / sum s, s_i = sin(a_k - a_j)
+    over the cyclic (i, j, k), give sum w_i m_i = 0, so E_i =
+    w_i (1 + m_i.sigma) / 2 sum to the identity. A point with a weight not
+    >= 0 (NaN included) is no POVM, and its weights are zero."""
     u = x[..., :2]
     r = np.hypot(u[..., :1], u[..., 1:])
     shift = (-np.sinc(r / (2 * np.pi)) ** 2 / 2 * (u @ frames[:, 1:])
@@ -451,13 +454,12 @@ def _coplanar_povms(x: np.ndarray, frames: np.ndarray):
         w = 2 * s / s.sum(axis=-1, keepdims=True)
     ok = (w >= 0).all(axis=-1)
     w[~ok] = 0
-    return w[..., None, None] / 2 * (np.eye(2) + np.tensordot(m, _PAULI, 1)), ok
+    return w, m, ok
 
 
-def _refine_three_outcome(rho: DensityMatrix, proj_theta: float,
-                          proj_phi: float) -> tuple[float, Povm]:
-    """`_pattern_search` of J over coplanar three-outcome rank-1 POVMs from
-    trines in three planes; returns the best POVM and J of its elements."""
+def _refine_three_outcome(j_of, proj_theta: float, proj_phi: float) -> tuple[float, Povm]:
+    """`_pattern_search` of J (`_kernel`'s j_of) over coplanar three-outcome
+    rank-1 POVMs from trines in three planes; returns the best J and POVM."""
     st, ct, sf, cf = np.sin(proj_theta), np.cos(proj_theta), np.sin(proj_phi), np.cos(proj_phi)
     # Frames (n, e_1, e_2) of two starts each: the plane through the
     # projective axis (e_1 = -axis), and the planes normal to x and to y.
@@ -468,16 +470,16 @@ def _refine_three_outcome(rho: DensityMatrix, proj_theta: float,
                            (0.0, 0.0, np.pi / 6, 2 * np.pi / 3, 4 * np.pi / 3)])
 
     def evaluate(trial):
-        elems, ok = _coplanar_povms(trial, frames)
-        mats = _branch_states(rho, np.concatenate([np.eye(2)[None], elems.reshape(-1, 2, 2)]))
-        return np.where(ok, _j_values(mats, 3).reshape(ok.shape), -np.inf)
+        w, m, ok = _coplanar_povms(trial, frames)
+        return np.where(ok, j_of(w.reshape(-1, 3), m).reshape(ok.shape), -np.inf)
 
     x, j = _pattern_search(evaluate, starts, evaluate(starts[:, None])[:, 0],
                            np.full(len(starts), _GRID_SPACING), _COMPASS,
                            max_rounds=THREE_OUTCOME_MAXITER)
     k = np.argmax(j)
-    povm = Povm(tuple(_coplanar_povms(x[None, None, k], frames[None, k])[0][0, 0]))
-    return accessible_information(rho, povm), povm
+    w, m, _ = _coplanar_povms(x[None, None, k], frames[None, k])
+    elements = w[0, 0, :, None, None] / 2 * (np.eye(2) + np.tensordot(m[0, 0], _PAULI[1:], 1))
+    return float(j[k]), Povm(tuple(elements))
 
 
 def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> CorrelationReport:
@@ -502,15 +504,15 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
         raise ValueError("povm_outcomes must be 2 or 3")
 
     i_sa = mutual_information(rho)
-    j_at = _projective_kernel(rho)
+    j_at, j_of, bloch = _kernel(rho)
     j_grid = j_at(_GRID)
     top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
-    j_best, n = _refine(j_at, _GRID[top], j_grid[top], _bloch_form(rho))
+    j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
     t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)
     if povm_outcomes == 3:
-        j3, povm3 = _refine_three_outcome(rho, t_best, f_best)
+        j3, povm3 = _refine_three_outcome(j_of, t_best, f_best)
         if j3 > j_best:
             j_best, measurement = j3, povm3
     return CorrelationReport(

@@ -79,13 +79,14 @@ def _owned(a) -> np.ndarray:
 class _Rebuilt:
     """Base of the value types: a copy or an unpickled value goes through
     the constructor, so it too owns read-only arrays and keeps what it
-    computed from them."""
+    computed from them. Declared with `eq=False`, a value equals and
+    hashes as itself only: its arrays have no single truth value."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, PSD operator over a tensor factorization.
     `mat` is a read-only copy of the input; `_spectrum` holds its ascending
@@ -93,7 +94,7 @@ class DensityMatrix(_Rebuilt):
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _owned(self.mat)
@@ -122,7 +123,7 @@ class DensityMatrix(_Rebuilt):
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector(_Rebuilt):
     """Normalized pure state over a tensor factorization; `vec` is a
     read-only copy of the input, flattened."""

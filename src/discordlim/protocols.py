@@ -58,7 +58,7 @@ class PreparedEnsembleChannel:
             raise ValueError("one prepared state per measurement outcome required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BroadcastIsometry(_Rebuilt):
     """Isometry from the apparatus into recipients x ancilla; `matrix` is a
     read-only copy of the input."""
@@ -119,20 +119,6 @@ def locc_transfer_info(rho: DensityMatrix, m: Povm) -> float:
     return accessible_information(rho, m)
 
 
-def _cloner_plane(psi: np.ndarray, phi: np.ndarray):
-    """|psi psi>, |phi phi> for raw vectors, and the orthonormal basis
-    (bisector, difference) of their span, with no difference if identical."""
-    pp = np.outer(psi, psi).ravel()
-    ff = np.outer(phi, phi).ravel()
-    if abs(np.vdot(pp, ff).imag) > OVERLAP_TOL:
-        raise ValueError("cloner requires a real overlap between the inputs")
-    e1 = pp + ff
-    e1 = e1 / np.linalg.norm(e1)
-    diff = pp - ff
-    nd = np.linalg.norm(diff)
-    return pp, ff, e1, None if nd < IDENTICAL_INPUTS_TOL else diff / nd
-
-
 def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> ClonerOutput:
     """Symmetric state-dependent cloner for two qubit states with real
     nonnegative overlap s: outputs lie in span{|psi psi>, |phi phi>},
@@ -150,12 +136,18 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
 
 def _clone(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The cloner on raw qubit vectors whose overlap the caller has
-    checked: (alpha, beta, global fidelity)."""
+    checked: (alpha, beta, global fidelity). e1 and e2 are the unit
+    bisector and difference of |psi psi> and |phi phi>."""
     s = max(0.0, np.vdot(psi, phi).real)
-    pp, ff, e1, e2 = _cloner_plane(psi, phi)
-    if e2 is None:
+    pp = np.outer(psi, psi).ravel()
+    ff = np.outer(phi, phi).ravel()
+    diff = pp - ff
+    nd = np.linalg.norm(diff)
+    if nd < IDENTICAL_INPUTS_TOL:
         # Identical inputs: perfect cloning.
         return pp, pp, 1.0
+    e1 = (pp + ff) / np.linalg.norm(pp + ff)
+    e2 = diff / nd
     omega = np.arccos(np.clip(s, -1.0, 1.0))
     alpha = np.cos(omega / 2) * e1 + np.sin(omega / 2) * e2
     beta = np.cos(omega / 2) * e1 - np.sin(omega / 2) * e2

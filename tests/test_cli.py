@@ -183,7 +183,7 @@ class TestCrossover:
 # The suite list with each suite's check count at --seed 3 --samples 5: a
 # suite added, dropped, renamed or checking more or less shows here.
 VERIFY_SEED_3_SAMPLES_5 = """\
-pass  linalg.partial_trace_preserves_trace_hermiticity  (20 checks, 0 failures)
+pass  linalg.partial_trace_matches_lifted_observables_and_product_factors  (20 checks, 0 failures)
 pass  linalg.entropy_additivity_and_unitary_invariance  (10 checks, 0 failures)
 pass  linalg.purify_roundtrip_and_spectra  (10 checks, 0 failures)
 pass  correlations.sampled_povm_chain_0_J_Ic_I  (12 checks, 0 failures)

@@ -1,4 +1,4 @@
-"""Eigensolver calls per public call.
+"""Eigensolver calls, and the optimizer's state contractions, per public call.
 
 Inside the package intermediate states pass as raw arrays; only value
 types built from caller input or returned to the caller run their
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import discordlim as dl
+from discordlim import correlations as corr
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,6 +76,19 @@ def test_density_matrix_validates_with_one_eigensolve(eig_calls):
     assert eig_calls(lambda: dl.DensityMatrix(RHO.mat, (2, 2))) == 1
     with pytest.raises(ValueError, match="negative eigenvalue"):
         dl.DensityMatrix(np.diag([1.5, -0.5]), (2,))
+
+
+@pytest.mark.parametrize("povm_outcomes", (2, 3))
+def test_optimizer_reads_the_state_once(monkeypatch, povm_outcomes):
+    # One branch contraction of the state serves the projective batches,
+    # the Newton step's Bloch form and the three-outcome search.
+    calls = []
+    contract = corr._branch_states
+    monkeypatch.setattr(corr, "_branch_states", lambda *a: calls.append(a) or contract(*a))
+    for rho in (RHO, dl.DensityMatrix(dl.random_density_matrix(6, 1027), (3, 2))):
+        calls.clear()
+        dl.classical_correlation(rho, povm_outcomes)
+        assert len(calls) == 1
 
 
 # Most eigensolver calls in one op of each kind of the benchmark's

@@ -14,6 +14,8 @@ from discordlim import linalg as la
 from discordlim.koashi_winter import classical_correlation_kw, example_state
 
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+SIGMA = (np.eye(2), *PAULI)
+SWEEP = np.linspace(0.0, np.pi / 4, 200)
 # (d_s, rank): qubit and qutrit systems, pure, rank-2 and full-rank states.
 CLASSES = [(d_s, rank) for d_s in (2, 3) for rank in (1, 2, 2 * d_s)]
 
@@ -52,7 +54,7 @@ class TestKernel:
         for seed in range(3):
             rho = random_state(d_s, rank, 100 * seed + 10 * d_s + rank)
             dirs = unit_vectors(40, seed)
-            got = corr._projective_kernel(rho)(dirs)
+            got = corr._kernel(rho)[0](dirs)
             want = np.array([oracle_j(rho, n) for n in dirs])
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -60,7 +62,7 @@ class TestKernel:
         for theta in np.linspace(0.0, np.pi / 4, 9):
             rho = example_state(theta)
             dirs = unit_vectors(20, 5)
-            got = corr._projective_kernel(rho)(dirs)
+            got = corr._kernel(rho)[0](dirs)
             want = np.array([oracle_j(rho, n) for n in dirs])
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -68,7 +70,7 @@ class TestKernel:
     def test_antipodal_directions_agree(self, d_s, rank):
         rho = random_state(d_s, rank, 7 * d_s + rank)
         dirs = unit_vectors(200, 1)
-        j_at = corr._projective_kernel(rho)
+        j_at = corr._kernel(rho)[0]
         assert np.max(np.abs(j_at(dirs) - j_at(-dirs))) <= 1e-15
 
     @pytest.mark.parametrize("d_s,rank", CLASSES)
@@ -77,7 +79,32 @@ class TestKernel:
         dirs = unit_vectors(20, 2)
         got = [corr.accessible_information(rho, corr.qubit_projective_povm(*bloch_angles(n)))
                for n in dirs]
-        assert np.max(np.abs(np.array(got) - corr._projective_kernel(rho)(dirs))) <= 1e-13
+        assert np.max(np.abs(np.array(got) - corr._kernel(rho)[0](dirs))) <= 1e-13
+
+    @pytest.mark.parametrize("d_s,rank", CLASSES)
+    def test_projective_batch_is_the_rank_one_kernel_bit_for_bit(self, d_s, rank):
+        # j_at(n) is j_of at weights 1 and Bloch vectors +-n.
+        rho = random_state(d_s, rank, 13 * d_s + rank)
+        j_at, j_of, _ = corr._kernel(rho)
+        for dirs in (corr._GRID, unit_vectors(2000, 4)):
+            got = j_of(np.ones((len(dirs), 2)), np.stack([dirs, -dirs], axis=1))
+            assert np.array_equal(j_at(dirs), got)
+
+    def test_bloch_form_is_the_pauli_expectations(self):
+        # C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho], read off the kernel's
+        # one contraction: exact on the sweep rows, rounding elsewhere.
+        def oracle(rho):
+            c = np.array([[np.trace(np.kron(a, b) @ rho.mat).real for b in SIGMA] for a in SIGMA])
+            return c[:, 0] / 2, c[:, 1:].T / 2
+
+        for theta in SWEEP:
+            rho = example_state(theta)
+            got, want = corr._kernel(rho)[2], oracle(rho)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for seed in range(40):
+            rho = random_state(2, 1 + seed % 4, 600 + seed)
+            got, want = corr._kernel(rho)[2], oracle(rho)
+            assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-15
 
 
 class TestOptimizer:
@@ -86,7 +113,7 @@ class TestOptimizer:
         for seed in range(4):
             rho = random_state(d_s, rank, 1000 + 100 * seed + 10 * d_s + rank)
             ic = corr.classical_correlation(rho).classical_info
-            sampled = corr._projective_kernel(rho)(unit_vectors(2000, seed)).max()
+            sampled = corr._kernel(rho)[0](unit_vectors(2000, seed)).max()
             assert sampled <= ic + 1e-12
 
     @pytest.mark.parametrize("d_s", (2, 3))
@@ -104,10 +131,13 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("d_s,rank", CLASSES)
     def test_reported_measurement_attains_ic(self, d_s, rank):
+        # Each search reports its own J; the validated POVM it returns gives
+        # the same value through accessible_information.
         rho = random_state(d_s, rank, 500 + 10 * d_s + rank)
-        rep = corr.classical_correlation(rho)
-        assert corr.accessible_information(rho, rep.measurement) == pytest.approx(
-            rep.classical_info, abs=1e-12)
+        for povm_outcomes in (2, 3):
+            rep = corr.classical_correlation(rho, povm_outcomes)
+            assert corr.accessible_information(rho, rep.measurement) == pytest.approx(
+                rep.classical_info, abs=1e-12)
 
     @pytest.mark.parametrize("d_s", (2, 3))
     def test_deterministic_including_measurement(self, d_s):
@@ -126,7 +156,7 @@ class TestOptimizer:
         # rounding is an optimizer or concurrence fault.
         worst = max(abs(corr.classical_correlation(example_state(t)).classical_info
                         - classical_correlation_kw(example_state(t)))
-                    for t in np.linspace(0.0, np.pi / 4, 200))
+                    for t in SWEEP)
         assert worst <= 1e-14
 
 

@@ -9,7 +9,7 @@ from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
-from discordlim.koashi_winter import example_state
+from discordlim.koashi_winter import example_branches, example_state
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 
@@ -330,6 +330,31 @@ class TestValueTypes:
                       twin(m)._stack, twin(iso).matrix)
             assert not any(a.flags.writeable for a in arrays)
             assert la.von_neumann_entropy(twin(rho)) == la.von_neumann_entropy(rho)
+
+    def test_values_compare_and_hash_by_identity(self):
+        # An array field has no single truth value, so two values are equal
+        # only when they are the same object; a copy is built anew. The
+        # reports and channels that hold values compare field by field, so
+        # a shallow copy of one, sharing its values, is equal to it.
+        sigma = la.DensityMatrix(np.eye(2) / 2, (2,))
+        values = (
+            lambda: example_state(0.3),
+            lambda: la.random_pure_state(4, 3),
+            lambda: corr.qubit_projective_povm(0.3, 0.2),
+            lambda: proto.random_broadcast_isometry(2, (2, 2), 2, 5),
+        )
+        holders = (
+            lambda: corr.classical_correlation(example_state(0.3)),
+            lambda: proto.optimal_state_dependent_cloner(*example_branches(0.3)),
+            lambda: proto.PreparedEnsembleChannel(corr.qubit_projective_povm(0.3, 0.2),
+                                                  (sigma, sigma)),
+        )
+        for kinds, copy_equal in ((values, False), (holders, True)):
+            for make in kinds:
+                a, b = make(), make()
+                assert (a == a) is True and (a == b) is False and (a != b) is True
+                assert (a == copy.copy(a)) is copy_equal
+                assert len({a, a, b, copy.copy(a)}) == 3 - copy_equal
 
     def test_rejects_non_integral_dims(self):
         # int() would truncate 2.9 to 2; a dimension must be integral.

@@ -24,7 +24,7 @@ def charts(n0):
 
 def chart_j(rho, n0, tangent):
     """J ln 2 at chart points x (s, 2) of the charts normalize(n0 + x E)."""
-    j_at = corr._projective_kernel(rho)
+    j_at = corr._kernel(rho)[0]
 
     def f(x):
         m = n0 + (x[:, None] @ tangent)[:, 0]
@@ -47,7 +47,7 @@ def test_derivatives_match_finite_differences(rho):
     n0 = rng.standard_normal((6, 3))
     n0 /= np.linalg.norm(n0, axis=1, keepdims=True)
     tangent = charts(n0)
-    derivs = corr._chart_derivatives(corr._bloch_form(rho), n0, tangent)
+    derivs = corr._chart_derivatives(corr._kernel(rho)[2], n0, tangent)
     f = chart_j(rho, n0, tangent)
     steps = np.eye(2)
 
@@ -73,7 +73,7 @@ def test_derivatives_match_finite_differences(rho):
 
 def test_no_bloch_form_beyond_a_qubit_system():
     rho = la.DensityMatrix(la.random_density_matrix(6, 5, 6), (3, 2))
-    assert corr._bloch_form(rho) is None
+    assert corr._kernel(rho)[2] is None
 
 
 def test_no_newton_candidate_at_pure_branches():
@@ -81,7 +81,7 @@ def test_no_newton_candidate_at_pure_branches():
     # proposes a Newton point, and the refinement is the pattern search.
     rho = la.DensityMatrix(la.random_density_matrix(4, 8, 1), (2, 2))
     n0 = np.array([[0.0, 0.6, 0.8], [0.6, 0.0, 0.8]])
-    derivs = corr._chart_derivatives(corr._bloch_form(rho), n0, charts(n0))
+    derivs = corr._chart_derivatives(corr._kernel(rho)[2], n0, charts(n0))
     assert derivs(np.zeros((2, 2))) is None
     assert corr._newton_moves(derivs, np.zeros((2, 2)), np.ones(2, dtype=bool)) is None
 
@@ -89,20 +89,20 @@ def test_no_newton_candidate_at_pure_branches():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """calls(rho) runs classical_correlation(rho) and returns how many times
-    it called the J kernel."""
+    it called the projective J kernel."""
     count = [0]
-    kernel = corr._projective_kernel
+    kernel = corr._kernel
 
     def counted(rho):
-        j_at = kernel(rho)
+        j_at, j_of, bloch = kernel(rho)
 
         def wrapper(directions):
             count[0] += 1
             return j_at(directions)
 
-        return wrapper
+        return wrapper, j_of, bloch
 
-    monkeypatch.setattr(corr, "_projective_kernel", counted)
+    monkeypatch.setattr(corr, "_kernel", counted)
 
     def calls(rho):
         count[0] = 0

@@ -171,6 +171,19 @@ class TestCloner:
                 residual = v - basis @ (basis.conj().T @ v)
                 assert np.linalg.norm(residual) < 1e-8
 
+    def test_accepts_an_overlap_phase_within_tolerance(self):
+        # Im <psi|phi> = 9.5e-11 passes OVERLAP_TOL; Im <psi psi|phi phi>
+        # is 1.7e-10, which a second check on the products rejected.
+        eps = 9.5e-11 / np.cos(0.45)
+        psi = la.StateVector(np.array([1.0, 0.0]), (2,))
+        phi = la.StateVector(np.array([np.cos(0.45) * np.exp(1j * eps), np.sin(0.45)]), (2,))
+        assert abs(np.vdot(psi.vec, phi.vec).imag) <= proto.OVERLAP_TOL
+        out = proto.optimal_state_dependent_cloner(psi, phi)
+        s = np.cos(0.45)
+        assert abs(np.vdot(out.alpha.vec, out.beta.vec) - s) <= verify.CLONER_OVERLAP_TOL
+        assert out.fidelity == pytest.approx(verify._cloner_fidelity_scan(psi, phi),
+                                             abs=verify.CLONER_SCAN_TOL)
+
     def test_rejects_non_qubit(self):
         big = la.random_pure_state(3, 1)
         with pytest.raises(ValueError):
