@@ -3,7 +3,6 @@ measurement records by classical means, for small multipartite systems."""
 
 from .correlations import (
     CorrelationReport,
-    Povm,
     accessible_information,
     classical_correlation,
     mutual_information,
@@ -18,7 +17,9 @@ from .koashi_winter import (
     example_state,
 )
 from .linalg import (
+    BroadcastIsometry,
     DensityMatrix,
+    Povm,
     StateVector,
     binary_entropy,
     partial_trace,
@@ -30,7 +31,6 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .protocols import (
-    BroadcastIsometry,
     ClonerOutput,
     CrossoverResult,
     PreparedEnsembleChannel,

@@ -36,20 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_thetas(*thetas: float, message: str | None = None):
-    """The example family's angle range check, as a usage error (with
-    `message` in place of the check's own, if given)."""
+def _check_thetas(*thetas: float, message: str | None = None) -> list[float]:
+    """The example family's angle check of each angle, as a usage error
+    (with `message` in place of the check's own, if given); returns the
+    angles as the check clamps them."""
     try:
-        for theta in thetas:
-            _check_theta(theta)
+        return [_check_theta(theta) for theta in thetas]
     except ValueError as exc:
         raise UsageError(message or str(exc)) from exc
 
 
 def _parse_theta(value: float, in_pi: bool) -> float:
-    theta = value * np.pi if in_pi else value
-    _check_thetas(theta)
-    return min(max(theta, 0.0), np.pi / 4)
+    return _check_thetas(value * np.pi if in_pi else value)[0]
 
 
 def evaluate_point(theta: float) -> dict:

@@ -25,7 +25,7 @@ has no Newton candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,17 +34,13 @@ from .linalg import (
     ENTROPY_CLIP,
     LOG2,
     DensityMatrix,
+    Povm,
     _bipartite_dims,
-    _fault,
-    _owned,
-    _Rebuilt,
     entropy_of_spectrum,
     hermitianize,
     random_isometry_mat,
 )
 
-POVM_PSD_TOL = 1e-10
-POVM_SUM_TOL = 1e-9
 ZERO_PROB = 1e-12
 
 # Directions of the hemisphere grid, the cells refined from it, and the
@@ -86,38 +82,6 @@ _SIGNS = np.array([-1.0, 1.0])
 # The compass pattern of the three-outcome search: one chart coordinate
 # at a time, both ways.
 _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
-
-
-@dataclass(frozen=True, eq=False)
-class Povm(_Rebuilt):
-    """Finite measurement: PSD elements summing to the identity. `_stack`
-    is one read-only array, the identity in row 0 and the elements after
-    it; `elements` are views into it."""
-
-    elements: tuple[np.ndarray, ...]
-    _stack: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("POVM needs at least one element")
-        d = np.shape(elements[0])[0]
-        if any(np.shape(e) != (d, d) for e in elements):
-            raise ValueError("POVM elements must be square and same-sized")
-        stack = _owned([np.eye(d), *elements])
-        # The completeness residual is NaN for non-finite entries, so it is
-        # checked before any eigensolver sees them.
-        err = abs(stack[1:].sum(axis=0) - stack[0]).max()
-        if not err <= POVM_SUM_TOL:
-            raise ValueError(_fault(err, "POVM", "elements do not sum to the identity"))
-        if not np.linalg.eigvalsh(hermitianize(stack[1:]))[:, 0].min() >= -POVM_PSD_TOL:
-            raise ValueError("POVM element is not PSD")
-        object.__setattr__(self, "elements", tuple(stack[1:]))
-        object.__setattr__(self, "_stack", stack)
-
-    @property
-    def dim(self) -> int:
-        return self._stack.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -422,11 +386,11 @@ def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     return Povm((p, np.eye(2) - p))
 
 
-def random_povm(n_outcomes: int, seed: int, dim: int = 2) -> Povm:
-    """Random rank-1 POVM from the rows of a Haar isometry."""
-    if n_outcomes < dim:
-        raise ValueError("rank-1 POVM needs at least dim outcomes")
-    w = random_isometry_mat(dim, n_outcomes, seed)
+def random_povm(n_outcomes: int, seed: int) -> Povm:
+    """Random rank-1 qubit POVM from the rows of a Haar isometry."""
+    if n_outcomes < 2:
+        raise ValueError("rank-1 qubit POVM needs at least 2 outcomes")
+    w = random_isometry_mat(2, n_outcomes, seed)
     return Povm(tuple(np.outer(r.conj(), r) for r in w))
 
 

@@ -33,8 +33,8 @@ def example_branches(theta: float) -> tuple[StateVector, StateVector]:
 
 def _branch_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The branch states as raw complex vectors (cos, sin) and (sin, cos),
-    after the angle check."""
-    _check_theta(theta)
+    at the checked angle."""
+    theta = _check_theta(theta)
     c, s = np.cos(theta), np.sin(theta)
     return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
 
@@ -44,9 +44,12 @@ def _branch_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
 THETA_SLACK = 1e-12
 
 
-def _check_theta(theta: float):
+def _check_theta(theta: float) -> float:
+    """The angle clamped to [0, pi/4], so that a negative branch overlap
+    never reaches the family; raises outside THETA_SLACK of that range."""
     if not -THETA_SLACK <= theta <= np.pi / 4 + THETA_SLACK:
         raise ValueError(f"theta={theta} outside [0, pi/4]")
+    return min(max(theta, 0.0), np.pi / 4)
 
 
 def example_state(theta: float) -> DensityMatrix:
@@ -70,7 +73,7 @@ def concurrence(rho: DensityMatrix) -> float:
     rho = w w^dagger, C = max(0, s_1 - s_2 - ...) over the singular values
     s of tau = w^T (sy x sy) w, which are the square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Any rank."""
-    if rho.dim != 4:
+    if rho.dims != (2, 2):
         raise ValueError("concurrence is defined here for two qubits only")
     vals, vecs = np.linalg.eigh(rho.mat)
     return _concurrence(vecs * np.sqrt(np.clip(vals, 0.0, None)))

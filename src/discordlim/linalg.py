@@ -4,12 +4,13 @@ Everything here works on explicit numpy arrays; total dimensions stay
 small (<= 64), so dense eigendecompositions are used throughout.
 All informational quantities are in bits (log base 2).
 
-Validation happens once, at the public boundary: the value types
-(`DensityMatrix`, `StateVector`, and `Povm` / `BroadcastIsometry`
-elsewhere) check their input when they are built from caller input or
-returned to the caller. Inside the package, intermediate states pass as
-raw `mat` arrays (`partial_trace_mat`), so no eigensolver runs only to
-re-check a value the package computed itself.
+Validation happens once, at the public boundary: the four value types
+defined here, `DensityMatrix`, `StateVector`, `Povm` and
+`BroadcastIsometry`, check their input when they are built from caller
+input or returned to the caller. Inside the package, intermediate states
+pass as raw arrays, so no eigensolver runs only to re-check a value the
+package computed itself. A density matrix and each POVM element are
+checked by one rule: Hermitian within HERM_TOL, then PSD within PSD_TOL.
 
 Each value type copies its input once into an array of its own and marks
 it read-only, so a validated value cannot change afterwards. A
@@ -32,6 +33,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
+POVM_SUM_TOL = 1e-9
 
 # Eigenvalues below this contribute nothing to entropies.
 ENTROPY_CLIP = 1e-12
@@ -86,6 +88,17 @@ class _Rebuilt:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+def _check_hermitian(mats: np.ndarray, what: str):
+    """Raise unless a matrix, or each matrix in a stack, is Hermitian
+    within HERM_TOL. Comparisons are written `not err <= tol` so that a NaN
+    residual, from non-finite entries, fails them; inf - inf is that NaN,
+    not a warning."""
+    with np.errstate(invalid="ignore"):
+        err = abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not err <= HERM_TOL:
+        raise ValueError(_fault(err, what, "is not Hermitian"))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, PSD operator over a tensor factorization.
@@ -102,13 +115,7 @@ class DensityMatrix(_Rebuilt):
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
-        # Comparisons are written `not err <= tol` so that a NaN residual,
-        # from non-finite entries, fails them; inf - inf is that NaN, not a
-        # warning.
-        with np.errstate(invalid="ignore"):
-            err = abs(mat - mat.conj().T).max()
-        if not err <= HERM_TOL:
-            raise ValueError(_fault(err, "density matrix", "is not Hermitian"))
+        _check_hermitian(mat, "density matrix")
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
@@ -147,6 +154,64 @@ class StateVector(_Rebuilt):
         return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
 
 
+@dataclass(frozen=True, eq=False)
+class Povm(_Rebuilt):
+    """Finite measurement: Hermitian PSD elements summing to the identity.
+    `_stack` is one read-only array, the identity in row 0 and the elements
+    after it; `elements` are views into it."""
+
+    elements: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        elements = tuple(self.elements)
+        if not elements:
+            raise ValueError("POVM needs at least one element")
+        d = np.shape(elements[0])[0]
+        if any(np.shape(e) != (d, d) for e in elements):
+            raise ValueError("POVM elements must be square and same-sized")
+        stack = _owned([np.eye(d), *elements])
+        # The Hermitian residual is not finite for non-finite entries, so it
+        # is checked before a sum or an eigensolver sees them.
+        _check_hermitian(stack[1:], "POVM element")
+        err = abs(stack[1:].sum(axis=0) - stack[0]).max()
+        if not err <= POVM_SUM_TOL:
+            raise ValueError("POVM elements do not sum to the identity")
+        if not np.linalg.eigvalsh(stack[1:])[:, 0].min() >= -PSD_TOL:
+            raise ValueError("POVM element is not PSD")
+        object.__setattr__(self, "elements", tuple(stack[1:]))
+        object.__setattr__(self, "_stack", stack)
+
+
+@dataclass(frozen=True, eq=False)
+class BroadcastIsometry(_Rebuilt):
+    """Isometry from the apparatus into recipients x ancilla; `matrix` is a
+    read-only copy of the input."""
+
+    matrix: np.ndarray
+    recipient_dims: tuple[int, ...]
+    ancilla_dim: int
+
+    def __post_init__(self):
+        mat = _owned(self.matrix)
+        object.__setattr__(self, "matrix", mat)
+        dims = _as_dims((*self.recipient_dims, self.ancilla_dim))
+        object.__setattr__(self, "recipient_dims", dims[:-1])
+        object.__setattr__(self, "ancilla_dim", dims[-1])
+        d_out = math.prod(dims)
+        if mat.shape[0] != d_out:
+            raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
+        # Non-finite entries leave a NaN residual, which fails the check.
+        with np.errstate(invalid="ignore"):
+            err = abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
+        if not err <= ISOMETRY_TOL:
+            raise ValueError(_fault(err, "matrix", "is not an isometry"))
+
+    @property
+    def d_in(self) -> int:
+        return self.matrix.shape[1]
+
+
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix in a stack."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
@@ -169,10 +234,9 @@ def _contract(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.nda
                      keep + [n + k for k in keep])
 
 
-def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Partial trace of a raw matrix; returns (reduced matrix, kept dims)."""
-    dims = _as_dims(dims)
-    n = len(dims)
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every subsystem not in `keep`; kept factors stay in order."""
+    n = len(rho.dims)
     try:
         keep = sorted(set(operator.index(k) for k in keep))
     except TypeError as exc:
@@ -181,14 +245,9 @@ def partial_trace_mat(mat: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[in
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    kept_dims = tuple(dims[i] for i in keep)
+    kept_dims = tuple(rho.dims[i] for i in keep)
     d = math.prod(kept_dims)
-    return _contract(np.asarray(mat, dtype=complex), dims, keep).reshape(d, d), kept_dims
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not in `keep`; kept factors stay in order."""
-    red, kept_dims = partial_trace_mat(rho.mat, rho.dims, keep)
+    red = _contract(rho.mat, rho.dims, keep).reshape(d, d)
     return DensityMatrix(hermitianize(red), kept_dims)
 
 

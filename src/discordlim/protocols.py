@@ -21,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import Povm, _branch_states, _mutual_info, accessible_information
+from .correlations import _branch_states, _mutual_info, accessible_information
 from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
 from .linalg import (
-    ISOMETRY_TOL,
+    BroadcastIsometry,
     DensityMatrix,
+    Povm,
     StateVector,
     _as_dims,
     _bipartite_dims,
     _contract,
-    _fault,
-    _owned,
-    _Rebuilt,
     hermitianize,
     random_isometry_mat,
     von_neumann_entropies,
@@ -56,35 +54,6 @@ class PreparedEnsembleChannel:
     def __post_init__(self):
         if len(self.measurement.elements) != len(self.prepared):
             raise ValueError("one prepared state per measurement outcome required")
-
-
-@dataclass(frozen=True, eq=False)
-class BroadcastIsometry(_Rebuilt):
-    """Isometry from the apparatus into recipients x ancilla; `matrix` is a
-    read-only copy of the input."""
-
-    matrix: np.ndarray
-    recipient_dims: tuple[int, ...]
-    ancilla_dim: int
-
-    def __post_init__(self):
-        mat = _owned(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        dims = _as_dims((*self.recipient_dims, self.ancilla_dim))
-        object.__setattr__(self, "recipient_dims", dims[:-1])
-        object.__setattr__(self, "ancilla_dim", dims[-1])
-        d_out = math.prod(dims)
-        if mat.shape[0] != d_out:
-            raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
-        # Non-finite entries leave a NaN residual, which fails the check.
-        with np.errstate(invalid="ignore"):
-            err = abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-        if not err <= ISOMETRY_TOL:
-            raise ValueError(_fault(err, "matrix", "is not an isometry"))
-
-    @property
-    def d_in(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)

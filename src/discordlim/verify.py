@@ -7,9 +7,9 @@ runs each of them once, at a pinned (seed, samples), and asserts that it
 passes with its exact check count; no test re-implements their checks.
 
 Every tolerance a suite compares against is named in the table below,
-with the reason for its value. Suites read the module constants at call
-time, so a harness can tighten them (`perfbench/workloads.py` reads
-KW_AGREEMENT_TOL, CHAIN_TOL, ENTROPY_TOL and SUM_BOUND_TOL by name).
+with the reason for its value. `perfbench/workloads.py` reads four of
+them, KW_AGREEMENT_TOL, CHAIN_TOL, ENTROPY_TOL and SUM_BOUND_TOL, once at
+import for its own output checks, so those names must not change.
 """
 
 from __future__ import annotations

@@ -20,6 +20,17 @@ def bench():
         sys.path.remove(str(PERFBENCH))
 
 
+def test_benchmark_reads_the_package_tolerances(bench):
+    # A tolerance the package renames would leave the benchmark on its
+    # fallback value, which may be looser (KW_AGREEMENT_TOL's is 1e-4).
+    from discordlim import protocols, verify
+
+    workloads, _ = bench
+    for name in ("KW_AGREEMENT_TOL", "CHAIN_TOL", "ENTROPY_TOL", "SUM_BOUND_TOL"):
+        assert getattr(workloads, name) == getattr(verify, name), name
+    assert workloads.CROSSOVER_TOL == protocols.CROSSOVER_TOL
+
+
 @pytest.mark.parametrize("name", ["family_sweep", "random_states", "closed_form"])
 def test_probe_inputs_pass_their_checks(bench, name):
     workloads, tracing = bench

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from discordlim import verify
+from discordlim import cli, verify
 from discordlim.cli import CSV_HEADER, UsageError, evaluate_point, format_csv, main, sweep_rows
 from discordlim.koashi_winter import THETA_SLACK, example_state
 
@@ -68,6 +68,14 @@ class TestPoint:
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "point")
         assert code == 1
+
+    def test_numerical_error_exits_2(self, capsys, monkeypatch):
+        def fail(theta):
+            raise ValueError("state rank exceeds 2")
+
+        monkeypatch.setattr(cli, "evaluate_point", fail)
+        code, out, err = run_cli(capsys, "point", "--theta", "0.1")
+        assert (code, out, err) == (2, "", "error: state rank exceeds 2\n")
 
 
 # Default stdout recorded before the information layer was consolidated:
@@ -154,6 +162,10 @@ class TestSweep:
         with pytest.raises(UsageError, match="need 0 <= theta-min < theta-max <= pi/4"):
             sweep_rows(*bounds, 5)
 
+    def test_sweep_rows_needs_two_steps(self):
+        with pytest.raises(UsageError, match="steps must be >= 2"):
+            sweep_rows(0.0, 0.1, 1)
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta-min", "0", "--theta-max", "0.2",
                                "--steps", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
@@ -178,6 +190,15 @@ class TestCrossover:
         _, out1, _ = run_cli(capsys, "crossover")
         _, out2, _ = run_cli(capsys, "crossover")
         assert out1 == out2
+
+    def test_search_failure_exits_2(self, capsys, monkeypatch):
+        def fail():
+            raise RuntimeError("no sign change in the crossover bracket")
+
+        monkeypatch.setattr(cli, "find_crossover", fail)
+        code, out, err = run_cli(capsys, "crossover")
+        assert (code, out) == (2, "")
+        assert err == "crossover search failed: no sign change in the crossover bracket\n"
 
 
 # The suite list with each suite's check count at --seed 3 --samples 5: a
@@ -222,3 +243,7 @@ class TestVerify:
             code, _, err = run_cli(capsys, "verify", flag, value)
             assert code == 1
             assert flag in err
+
+    def test_run_all_needs_a_sample(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify.run_all(3, 0)

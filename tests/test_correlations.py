@@ -7,6 +7,7 @@ from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim import verify
 from discordlim.koashi_winter import example_state
+from references import brute_partial_trace
 
 BELL = la.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
@@ -28,14 +29,22 @@ def random_two_qubit_state(seed):
     return la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
 
 
+def kron_branches(rho, m):
+    """Reference for the branch contraction: B_i = Tr_A[(1 x E_i) rho],
+    each element lifted with np.kron and the apparatus traced out by index
+    sums."""
+    lift = np.eye(rho.dims[0])
+    return [brute_partial_trace(np.kron(lift, e) @ rho.mat, rho.dims, [0]) for e in m.elements]
+
+
 def post_measurement_ensemble(rho, m):
     """(probability, conditional system state) per outcome, from the
-    library's branch contraction; near-zero-probability outcomes dropped."""
+    reference branches; near-zero-probability outcomes dropped."""
     ens = []
-    for b in corr._branch_states(rho, m.elements):
+    for b in kron_branches(rho, m):
         p = np.trace(b).real
         if p > corr.ZERO_PROB:
-            ens.append((p, la.hermitianize(b) / p))
+            ens.append((p, b / p))
     return ens
 
 
@@ -107,8 +116,17 @@ class TestPostMeasurementEnsemble:
 
     def test_dimension_mismatch(self):
         rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
-        with pytest.raises(ValueError):
-            post_measurement_ensemble(rho, BASIS_POVM)
+        with pytest.raises(ValueError, match="POVM dimension does not match the apparatus"):
+            corr._branch_states(rho, BASIS_POVM.elements)
+
+    def test_branch_contraction_matches_the_kron_reference(self):
+        for d_s in (2, 3):
+            for k in (2, 3):
+                for seed in range(10):
+                    rho = la.DensityMatrix(la.random_density_matrix(2 * d_s, seed), (d_s, 2))
+                    m = corr.random_povm(k, seed + 300)
+                    got = corr._branch_states(rho, m.elements)
+                    assert np.max(np.abs(got - kron_branches(rho, m))) <= 1e-14
 
 
 class TestAccessibleInformation:
@@ -186,6 +204,23 @@ class TestPovmType:
         with pytest.raises(ValueError):
             corr.Povm((np.diag([2.0, -1.0]), np.diag([-1.0, 2.0])))
 
+    def test_rejects_non_hermitian(self):
+        # Complete, and PSD in its Hermitian part, which is diag(0.5, 0.5);
+        # read as a measurement of example_state(0.3) it gave J = 0 bits.
+        e = np.array([[0.5, 0.3j], [0.3j, 0.5]])
+        with pytest.raises(ValueError, match="POVM element is not Hermitian"):
+            corr.Povm((e, np.eye(2) - e))
+
+    def test_rejects_no_elements(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            corr.Povm(())
+
+    @pytest.mark.parametrize("elements", [(np.ones((2, 3)) / 2,),
+                                          (np.eye(2) / 2, np.eye(3) / 2)])
+    def test_rejects_non_square_or_mixed_sizes(self, elements):
+        with pytest.raises(ValueError, match="square and same-sized"):
+            corr.Povm(elements)
+
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
             corr.Povm((np.diag([0.5, 0.5]),))
@@ -194,6 +229,10 @@ class TestPovmType:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 corr.Povm((np.diag([1.0, bad]), np.diag([0.0, 1.0])))
+        # Opposite infinities give inf - inf in a residual: a ValueError, not
+        # a numpy warning.
+        with pytest.raises(ValueError, match="non-finite"):
+            corr.Povm((np.diag([np.inf, 0.0]), np.diag([-np.inf, 1.0])))
 
     def test_owns_read_only_copies(self):
         # Writing into a validated POVM would leave a non-POVM behind it.
@@ -211,6 +250,10 @@ class TestPovmType:
         for n in (2, 3, 4):
             m = corr.random_povm(n, seed=n)
             assert len(m.elements) == n
+
+    def test_random_povm_needs_two_outcomes(self):
+        with pytest.raises(ValueError, match="at least 2 outcomes"):
+            corr.random_povm(1, seed=0)
 
 
 class TestClassicalCorrelation:
@@ -242,6 +285,11 @@ class TestClassicalCorrelation:
         rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
         with pytest.raises(ValueError):
             corr.classical_correlation(rho)
+
+    @pytest.mark.parametrize("povm_outcomes", [1, 4])
+    def test_rejects_other_outcome_counts(self, povm_outcomes):
+        with pytest.raises(ValueError, match="povm_outcomes must be 2 or 3"):
+            corr.classical_correlation(BELL, povm_outcomes)
 
     def test_bell_diagonal_states_match_the_exact_value(self):
         # Full rank, so no KW route: the Bell-state weights are Dirichlet
@@ -284,8 +332,8 @@ class TestClassicalCorrelation:
         m = r3.measurement
         assert corr.accessible_information(rho, m) == pytest.approx(r3.classical_info, abs=1e-12)
         assert len(m.elements) == 3
-        assert np.max(np.abs(sum(m.elements) - np.eye(2))) <= corr.POVM_SUM_TOL
-        assert min(np.linalg.eigvalsh(e)[0] for e in m.elements) >= -corr.POVM_PSD_TOL
+        assert np.max(np.abs(sum(m.elements) - np.eye(2))) <= la.POVM_SUM_TOL
+        assert min(np.linalg.eigvalsh(e)[0] for e in m.elements) >= -la.PSD_TOL
 
     @pytest.mark.parametrize("seed, rank", [(7350, 4), (3332, 3)])
     def test_three_outcome_mode_reaches_the_sampled_optimum(self, seed, rank):

@@ -5,6 +5,7 @@ from discordlim import koashi_winter as kw
 from discordlim import linalg as la
 from discordlim import verify
 from discordlim.correlations import classical_correlation
+from references import kron_flagged_mixture
 
 SY = np.array([[0, -1j], [1j, 0]])
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -20,11 +21,10 @@ FAMILY_ANGLES = np.concatenate([
 
 
 def kron_example_state(theta):
-    """Reference for example_state: 1/2 |0><0| x |psi><psi| + 1/2 |1><1| x
-    |phi><phi| built with np.kron."""
-    psi, phi = kw.example_branches(theta)
-    return (0.5 * np.kron(np.diag([1.0, 0.0]), np.outer(psi.vec, psi.vec.conj()))
-            + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(phi.vec, phi.vec.conj())))
+    """Reference for example_state: the kron-built flagged mixture of the
+    branches (cos, sin) and (sin, cos)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return kron_flagged_mixture(np.array([c, s]), np.array([s, c]))
 
 
 def pure_concurrence_reference(vec):
@@ -70,6 +70,14 @@ class TestExampleState:
             kw.example_state(-0.1)
         with pytest.raises(ValueError):
             kw.example_state(np.pi / 2)
+
+    def test_angles_within_the_slack_are_the_endpoints(self):
+        # Below 0 the branch overlap sin(2 theta) would turn negative.
+        for theta, end in ((-kw.THETA_SLACK / 2, 0.0),
+                           (np.pi / 4 + kw.THETA_SLACK / 2, np.pi / 4)):
+            assert (kw.example_state(theta).mat == kw.example_state(end).mat).all()
+            for got, want in zip(kw.example_branches(theta), kw.example_branches(end)):
+                assert (got.vec == want.vec).all()
 
 
 class TestConcurrence:
@@ -118,6 +126,11 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             kw.concurrence(la.DensityMatrix(np.eye(2) / 2, (2,)))
+        # Four dimensions but one ququart, not two qubits.
+        ququart = la.DensityMatrix(la.random_density_matrix(4, 3), (4,))
+        for f in (kw.concurrence, kw.entanglement_of_formation):
+            with pytest.raises(ValueError, match="two qubits"):
+                f(ququart)
 
 
 class TestEntanglementOfFormation:

@@ -7,7 +7,13 @@ from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
-from discordlim.koashi_winter import classical_correlation_kw, example_branches, example_state
+from discordlim.koashi_winter import (
+    THETA_SLACK,
+    classical_correlation_kw,
+    example_branches,
+    example_state,
+)
+from references import brute_partial_trace, kron_flagged_mixture
 
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
 
@@ -19,7 +25,7 @@ def kron_broadcast(state, iso):
     mat = state.to_density().mat if isinstance(state, la.StateVector) else state.mat
     w = np.kron(np.eye(d_s), iso.matrix)
     dims = (d_s,) + iso.recipient_dims + (iso.ancilla_dim,)
-    return la.partial_trace_mat(w @ mat @ w.conj().T, dims, range(len(dims) - 1))[0]
+    return brute_partial_trace(w @ mat @ w.conj().T, dims, range(len(dims) - 1))
 
 
 def pairwise_recipient_infos(rho):
@@ -33,7 +39,7 @@ def kron_measure_and_prepare(rho, m, sigmas):
     B_i = Tr_A[(1 x E_i) rho] from np.kron and a partial trace."""
     lift = np.eye(rho.dims[0])
     return sum(
-        np.kron(la.partial_trace_mat(np.kron(lift, e) @ rho.mat, rho.dims, [0])[0], sigma.mat)
+        np.kron(brute_partial_trace(np.kron(lift, e) @ rho.mat, rho.dims, [0]), sigma.mat)
         for e, sigma in zip(m.elements, sigmas)
     )
 
@@ -49,12 +55,6 @@ def bisected_crossover(width=1e-13):
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def kron_flagged_mixture(a, b):
-    """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b| built with np.kron."""
-    return (0.5 * np.kron(np.diag([1.0, 0.0]), np.outer(a, a.conj()))
-            + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(b, b.conj())))
 
 
 def qubit_flags():
@@ -104,6 +104,12 @@ class TestMeasureAndPrepare:
     def test_outcome_count_mismatch(self):
         with pytest.raises(ValueError):
             proto.PreparedEnsembleChannel(BASIS_POVM, qubit_flags()[:1])
+
+    def test_prepared_states_must_share_a_dimension(self):
+        sigmas = (qubit_flags()[0], la.DensityMatrix(np.eye(3) / 3, (3,)))
+        ch = proto.PreparedEnsembleChannel(BASIS_POVM, sigmas)
+        with pytest.raises(ValueError, match="share one dimension"):
+            proto.measure_and_prepare(example_state(0.1), ch)
 
     def test_outputs_pass_partial_transpose_check(self, run_suite):
         run_suite(verify.suite_proto_entanglement_breaking, seed=11, samples=50, checks=50)
@@ -189,6 +195,12 @@ class TestCloner:
         with pytest.raises(ValueError):
             proto.optimal_state_dependent_cloner(big, big)
 
+    def test_rejects_a_negative_overlap(self):
+        psi = la.StateVector(np.array([1.0, 0.0]), (2,))
+        phi = la.StateVector(np.array([-np.cos(0.45), np.sin(0.45)]), (2,))
+        with pytest.raises(ValueError, match="real nonnegative input overlap"):
+            proto.optimal_state_dependent_cloner(psi, phi)
+
 
 class TestCloningRecipientInfo:
     def test_endpoints(self):
@@ -219,6 +231,12 @@ class TestCloningRecipientInfo:
         with pytest.raises(ValueError):
             proto.cloning_recipient_info(1.0)
 
+    def test_angles_within_the_slack_are_the_endpoints(self):
+        # Below 0 the unclamped branch overlap is negative, outside the
+        # cloner's contract.
+        for theta, end in ((-THETA_SLACK / 2, 0.0), (np.pi / 4 + THETA_SLACK / 2, np.pi / 4)):
+            assert proto.cloning_recipient_info(theta) == proto.cloning_recipient_info(end)
+
 
 class TestCrossover:
     def test_root_in_reported_window(self):
@@ -241,6 +259,23 @@ class TestCrossover:
         assert hi - lo <= proto.CROSSOVER_TOL
         assert lo <= res.theta <= hi
         assert proto._locc_minus_cloning(lo) > 0 >= proto._locc_minus_cloning(hi)
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(proto, "_locc_minus_cloning", lambda theta: 1.0)
+        with pytest.raises(RuntimeError, match="no sign change"):
+            proto.find_crossover()
+
+    def test_halves_the_lower_weight_when_the_upper_end_moves_twice(self, monkeypatch):
+        # On a convex decreasing gap every chord zero lies past the root, so
+        # the lower end stays and only the halving of its weight moves the
+        # chord; plain false position takes 595 gap evaluations here.
+        lo, root = proto.CROSSOVER_BRACKET[0], 0.3
+        monkeypatch.setattr(proto, "_locc_minus_cloning",
+                            lambda theta: np.exp(-30 * (theta - lo)) - np.exp(-30 * (root - lo)))
+        res = proto.find_crossover()
+        assert abs(res.theta - root) <= proto.CROSSOVER_TOL
+        assert res.bracket[0] <= root <= res.bracket[1]
+        assert res.evaluations <= 20
 
 
 class TestBroadcast:
@@ -307,6 +342,11 @@ class TestBroadcast:
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):
             proto.BroadcastIsometry(np.ones((4, 2)), (2, 2), 1)
+
+    def test_rejects_rows_that_do_not_match_the_dims(self):
+        v = proto.classical_copy_isometry().matrix
+        with pytest.raises(ValueError, match="do not match output dim 8"):
+            proto.BroadcastIsometry(v, (2, 2), 2)
 
     def test_owns_a_read_only_copy(self):
         v = proto.classical_copy_isometry().matrix.copy()
