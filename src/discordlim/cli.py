@@ -51,7 +51,9 @@ def _parse_theta(value: float, in_pi: bool) -> float:
 
 
 def evaluate_point(theta: float) -> dict:
-    """One sweep record plus the closed-form cross-check value."""
+    """One sweep record plus the closed-form cross-check value, at the
+    angle as the library clamps it."""
+    theta = _check_theta(theta)
     rho = example_state(theta)
     rep = classical_correlation(rho)
     i_clone = cloning_recipient_info(theta)

@@ -21,6 +21,14 @@ and second derivatives are closed forms of two 2x2 spectra. For a larger
 system the derivatives of sum_i p_i S(B_i / p_i) need the eigenvectors
 of every branch and divided differences of the logarithm, and the search
 has no Newton candidate.
+
+A pure state needs no search. Every measurement has J <= S(rho^S), since
+the conditional entropies are >= 0, and a rank-1 projective measurement
+on a pure state leaves pure system branches, so every such measurement
+attains it: I^c = S(rho^S) (Henderson & Vedral, J. Phys. A 34, 6899
+(2001)). The optimizer takes a state as pure by numpy's `matrix_rank`
+rule on the spectrum the `DensityMatrix` keeps, and evaluates J once,
+along sigma_z.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ from .linalg import (
 )
 
 ZERO_PROB = 1e-12
+# The unit of numpy's `matrix_rank` default rule, by which a state is pure.
+_EPS = np.finfo(float).eps
 
 # Directions of the hemisphere grid, the cells refined from it, and the
 # pattern step (rad) at which a refinement stops; J is stationary at the
@@ -73,6 +83,8 @@ def _fibonacci_hemisphere(n: int) -> np.ndarray:
 
 
 _GRID = _fibonacci_hemisphere(GRID_POINTS)
+# The sigma_z direction, the one measurement a pure state is evaluated at.
+_Z = np.array([[0.0, 0.0, 1.0]])
 # A refinement starts at the grid spacing, the side of the hemisphere's
 # area shared out over the grid.
 _GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
@@ -446,11 +458,27 @@ def _refine_three_outcome(j_of, proj_theta: float, proj_phi: float) -> tuple[flo
     return float(j[k]), Povm(tuple(elements))
 
 
+def _is_pure(rho: DensityMatrix) -> bool:
+    """Rank 1 by numpy's `matrix_rank` default rule, on the spectrum `rho`
+    keeps: every eigenvalue but the largest is at most dim * eps times it
+    in magnitude. The spectrum ascends, so the largest such magnitude is
+    the second eigenvalue or minus the first."""
+    vals = rho._spectrum
+    return max(vals[-2], -vals[0]) <= rho.dim * _EPS * vals[-1]
+
+
 def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> CorrelationReport:
     """Maximize J over measurements on a qubit apparatus.
 
-    Default searches two-outcome projective measurements: J on a
-    GRID_POINTS Fibonacci hemisphere of directions, then a batched
+    A pure state is certified, not searched: when every eigenvalue of rho
+    but the largest is at most dim * eps times it in magnitude (numpy's
+    `matrix_rank` default rule), every rank-1 projective measurement
+    leaves pure branches and attains the bound J <= S(rho^S) that holds
+    for every measurement, so I^c is J of the sigma_z measurement, which
+    the report returns, in both modes.
+
+    Otherwise the default searches two-outcome projective measurements:
+    J on a GRID_POINTS Fibonacci hemisphere of directions, then a batched
     pattern search from the best REFINE_STARTS cells down to a step of
     REFINE_STEP_TOL rad, all through one batched J kernel. For a qubit
     system every round also tries each start's Newton point of J, from
@@ -469,13 +497,17 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
 
     i_sa = mutual_information(rho)
     j_at, j_of, bloch = _kernel(rho)
-    j_grid = j_at(_GRID)
-    top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
-    j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
+    pure = _is_pure(rho)
+    if pure:
+        j_best, n = float(j_at(_Z)[0]), _Z[0]
+    else:
+        j_grid = j_at(_GRID)
+        top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
+        j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
     t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)
-    if povm_outcomes == 3:
+    if povm_outcomes == 3 and not pure:
         j3, povm3 = _refine_three_outcome(j_of, t_best, f_best)
         if j3 > j_best:
             j_best, measurement = j3, povm3

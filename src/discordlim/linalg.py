@@ -167,10 +167,10 @@ class Povm(_Rebuilt):
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("POVM needs at least one element")
-        d = np.shape(elements[0])[0]
-        if any(np.shape(e) != (d, d) for e in elements):
+        shape = np.shape(elements[0])
+        if len(shape) != 2 or shape[0] != shape[1] or any(np.shape(e) != shape for e in elements):
             raise ValueError("POVM elements must be square and same-sized")
-        stack = _owned([np.eye(d), *elements])
+        stack = _owned([np.eye(shape[0]), *elements])
         # The Hermitian residual is not finite for non-finite entries, so it
         # is checked before a sum or an eigensolver sees them.
         _check_hermitian(stack[1:], "POVM element")
@@ -194,6 +194,8 @@ class BroadcastIsometry(_Rebuilt):
 
     def __post_init__(self):
         mat = _owned(self.matrix)
+        if mat.ndim != 2:
+            raise ValueError("isometry matrix must be two-dimensional")
         object.__setattr__(self, "matrix", mat)
         dims = _as_dims((*self.recipient_dims, self.ancilla_dim))
         object.__setattr__(self, "recipient_dims", dims[:-1])

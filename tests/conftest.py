@@ -1,4 +1,21 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's (workloads, tracing) modules, imported from
+    perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.fixture

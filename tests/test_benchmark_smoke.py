@@ -2,22 +2,7 @@
 every public name a workload calls must still exist with its signature.
 Each workload's fixed probe inputs go through its op and its check."""
 
-import importlib
-import sys
-from pathlib import Path
-
 import pytest
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def bench():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("workloads"), importlib.import_module("tracing")
-    finally:
-        sys.path.remove(str(PERFBENCH))
 
 
 def test_benchmark_reads_the_package_tolerances(bench):

@@ -162,6 +162,14 @@ class TestSweep:
         with pytest.raises(UsageError, match="need 0 <= theta-min < theta-max <= pi/4"):
             sweep_rows(*bounds, 5)
 
+    def test_rows_record_the_angle_the_library_clamps(self):
+        # An angle within THETA_SLACK outside [0, pi/4] is computed at the
+        # endpoint, so its row records the endpoint.
+        for given, endpoint in ((-THETA_SLACK / 2, 0.0), (np.pi / 4 + THETA_SLACK / 2, np.pi / 4)):
+            assert evaluate_point(given) == evaluate_point(endpoint)
+        rows = sweep_rows(-THETA_SLACK / 2, np.pi / 4 + THETA_SLACK / 2, 2)
+        assert [r["theta"] for r in rows] == [0.0, np.pi / 4]
+
     def test_sweep_rows_needs_two_steps(self):
         with pytest.raises(UsageError, match="steps must be >= 2"):
             sweep_rows(0.0, 0.1, 1)

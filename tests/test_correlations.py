@@ -48,6 +48,15 @@ def post_measurement_ensemble(rho, m):
     return ens
 
 
+def full_search(rho):
+    """I^c of the projective grid and refinement, the search a pure state
+    skips, run on the private kernel."""
+    j_at, _, bloch = corr._kernel(rho)
+    j_grid = j_at(corr._GRID)
+    top = np.argsort(-j_grid, kind="stable")[:corr.REFINE_STARTS]
+    return corr._refine(j_at, corr._GRID[top], j_grid[top], bloch)[0]
+
+
 def discord_given_measurement(rho, m):
     """Discord relative to a fixed measurement: I - J."""
     return corr.mutual_information(rho) - corr.accessible_information(rho, m)
@@ -216,7 +225,8 @@ class TestPovmType:
             corr.Povm(())
 
     @pytest.mark.parametrize("elements", [(np.ones((2, 3)) / 2,),
-                                          (np.eye(2) / 2, np.eye(3) / 2)])
+                                          (np.eye(2) / 2, np.eye(3) / 2),
+                                          (1.0,)])
     def test_rejects_non_square_or_mixed_sizes(self, elements):
         with pytest.raises(ValueError, match="square and same-sized"):
             corr.Povm(elements)
@@ -347,6 +357,58 @@ class TestClassicalCorrelation:
         sampled = max(corr.accessible_information(rho, corr.random_povm(3, 50000 + k))
                       for k in range(3000))
         assert sampled <= r3.classical_info + verify.CHAIN_TOL
+
+
+class TestPureStateCertificate:
+    @pytest.fixture(scope="class")
+    def pure_states(self, bench):
+        """Seeded pure states, d_s 2, 3 and 4, and the rank-1 inputs of the
+        benchmark's random_states ops 0-44."""
+        states = [la.DensityMatrix(la.random_pure_state(2 * d_s, 1300 + seed).to_density().mat,
+                                   (d_s, 2))
+                  for d_s in (2, 3, 4) for seed in range(20)]
+        workload = bench[0].WORKLOADS["random_states"](0)
+        for d_s, rank, mat in map(workload.input, range(45)):
+            if rank == 1:
+                states.append(la.DensityMatrix(mat, (d_s, 2)))
+        return states
+
+    def test_equals_the_full_search(self, pure_states):
+        for rho in pure_states:
+            rep = corr.classical_correlation(rho)
+            assert abs(rep.classical_info - full_search(rho)) <= 1e-14
+            assert abs(corr.accessible_information(rho, rep.measurement)
+                       - rep.classical_info) <= 1e-14
+            assert rep.discord == rep.mutual_info - rep.classical_info
+
+    def test_searches_nothing_in_either_mode(self, pure_states, monkeypatch):
+        def searched(*_):
+            raise AssertionError("a pure state was searched")
+
+        monkeypatch.setattr(corr, "_refine", searched)
+        monkeypatch.setattr(corr, "_refine_three_outcome", searched)
+        for rho in pure_states:
+            r2 = corr.classical_correlation(rho)
+            r3 = corr.classical_correlation(rho, povm_outcomes=3)
+            assert r3.classical_info == r2.classical_info
+            assert all(np.array_equal(e, f) for e, f in zip(r2.measurement.elements,
+                                                            BASIS_POVM.elements))
+
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_a_state_just_above_the_rank_rule_is_searched(self, d_s, monkeypatch):
+        # Second eigenvalue 4 dim eps: four times the rule's bound, and far
+        # above the eigensolver's ~eps rounding.
+        dim = 2 * d_s
+        lam = 4 * dim * np.finfo(float).eps
+        u = la.random_unitary(dim, 31 + d_s)
+        mat = (u[:, :2] * [1 - lam, lam]) @ u[:, :2].conj().T
+        rho = la.DensityMatrix(la.hermitianize(mat), (d_s, 2))
+        assert rho._spectrum[-2] > dim * np.finfo(float).eps * rho._spectrum[-1]
+        calls = []
+        refine = corr._refine
+        monkeypatch.setattr(corr, "_refine", lambda *a: calls.append(a) or refine(*a))
+        corr.classical_correlation(rho)
+        assert len(calls) == 1
 
 
 class TestOptimizerProperties:

@@ -6,20 +6,16 @@ validation eigensolve. These budgets keep re-validation from creeping
 back into the library.
 """
 
-import importlib
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import discordlim as dl
 from discordlim import correlations as corr
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
 RHO = dl.example_state(np.pi / 8)
 PSI = dl.StateVector(dl.random_pure_state(4, 3).vec, (2, 2))
+PURE = PSI.to_density()
+PURE_QUTRIT = dl.StateVector(dl.random_pure_state(6, 3).vec, (3, 2)).to_density()
 ISOMETRY = dl.random_broadcast_isometry(2, (2, 2, 2), 2, 5)
 BROADCAST = dl.apply_broadcast(PSI, ISOMETRY)
 MEASUREMENT = dl.qubit_projective_povm(0.3, 0.2)
@@ -33,6 +29,11 @@ BUDGETS = {
     "partial_trace": (lambda: dl.partial_trace(RHO, [0]), 1),
     "accessible_information": (lambda: dl.accessible_information(RHO, MEASUREMENT), 0),
     "classical_correlation": (lambda: dl.classical_correlation(RHO), 4),
+    # A pure state is certified, not searched: I's two marginals, the
+    # sigma_z measurement's validation and, for a qutrit system, the one
+    # J evaluation (a searched qutrit state takes ~30).
+    "classical_correlation_pure": (lambda: dl.classical_correlation(PURE), 3),
+    "classical_correlation_pure_qutrit": (lambda: dl.classical_correlation(PURE_QUTRIT, 3), 4),
     "classical_correlation_kw": (lambda: dl.classical_correlation_kw(RHO), 2),
     "cloning_recipient_info": (lambda: dl.cloning_recipient_info(np.pi / 8), 3),
     "find_crossover": (dl.find_crossover, 45),
@@ -96,16 +97,32 @@ def test_optimizer_reads_the_state_once(monkeypatch, povm_outcomes):
 CLOSED_FORM_BUDGETS = {"family": 8, "rank2": 5, "broadcast": 6, "crossover": 45}
 
 
-def test_closed_form_ops_stay_within_their_kind_budgets(eig_calls):
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        workloads, tracing = (importlib.import_module(m) for m in ("workloads", "tracing"))
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    workload = workloads.WORKLOADS["closed_form"](0)
-    most = dict.fromkeys(CLOSED_FORM_BUDGETS, 0)
-    for i in range(2 * workloads.CROSSOVER_EVERY):
+# Most eigensolver calls in one op of each class of the benchmark's
+# random_states workload, over its ops 0-17 (two class cycles). Each op
+# validates its state (1) and computes I (2); a qutrit system's J batches
+# take one eigensolve each, a qubit system's none. The rank-1 classes are
+# certified without a search: a d3r1 op took 30 calls when searched.
+RANDOM_STATES_BUDGETS = {"d2r1": 4, "d3r1": 5, "d2r2": 4, "d3r2": 50, "d2r4": 4, "d3r6": 51}
+
+
+def most_calls_per_kind(eig_calls, bench, name, n_ops):
+    workloads, tracing = bench
+    workload = workloads.WORKLOADS[name](0)
+    most = {}
+    for i in range(n_ops):
         inp = workload.input(i)
         kind = workload.kind(inp)
-        most[kind] = max(most[kind], eig_calls(lambda: workload.run(tracing.untraced_call, inp)))
+        calls = eig_calls(lambda: workload.run(tracing.untraced_call, inp))
+        most[kind] = max(most.get(kind, 0), calls)
+    return most
+
+
+def test_closed_form_ops_stay_within_their_kind_budgets(eig_calls, bench):
+    most = most_calls_per_kind(eig_calls, bench, "closed_form", 2 * bench[0].CROSSOVER_EVERY)
     assert {k: n for k, n in most.items() if n > CLOSED_FORM_BUDGETS[k]} == {}
+
+
+def test_random_states_ops_stay_within_their_class_budgets(eig_calls, bench):
+    most = most_calls_per_kind(eig_calls, bench, "random_states", 18)
+    assert most.keys() == RANDOM_STATES_BUDGETS.keys()
+    assert {k: n for k, n in most.items() if n > RANDOM_STATES_BUDGETS[k]} == {}

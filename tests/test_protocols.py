@@ -343,6 +343,10 @@ class TestBroadcast:
         with pytest.raises(ValueError):
             proto.BroadcastIsometry(np.ones((4, 2)), (2, 2), 1)
 
+    def test_rejects_a_matrix_that_is_not_two_dimensional(self):
+        with pytest.raises(ValueError, match="must be two-dimensional"):
+            proto.BroadcastIsometry(np.ones(4) / 2, (2, 2), 1)
+
     def test_rejects_rows_that_do_not_match_the_dims(self):
         v = proto.classical_copy_isometry().matrix
         with pytest.raises(ValueError, match="do not match output dim 8"):
