@@ -1,6 +1,8 @@
 """Quantum discord, classical correlations, and the cost of communicating
 measurement records by classical means, for small multipartite systems."""
 
+from types import ModuleType as _ModuleType
+
 from .correlations import (
     CorrelationReport,
     accessible_information,
@@ -45,5 +47,6 @@ from .protocols import (
     recipient_infos,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ along sigma_z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -43,6 +44,7 @@ from .linalg import (
     LOG2,
     DensityMatrix,
     Povm,
+    _as_dims,
     _bipartite_dims,
     entropy_of_spectrum,
     hermitianize,
@@ -393,6 +395,8 @@ def accessible_information(rho: DensityMatrix, m: Povm) -> float:
 def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     """Two-outcome projective measurement along the Bloch direction
     (theta_m, phi_m)."""
+    if not (math.isfinite(theta_m) and math.isfinite(phi_m)):
+        raise ValueError(f"measurement angles must be finite, got ({theta_m}, {phi_m})")
     v = np.array([np.cos(theta_m / 2), np.exp(1j * phi_m) * np.sin(theta_m / 2)])
     p = np.outer(v, v.conj())
     return Povm((p, np.eye(2) - p))
@@ -400,6 +404,7 @@ def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
 
 def random_povm(n_outcomes: int, seed: int) -> Povm:
     """Random rank-1 qubit POVM from the rows of a Haar isometry."""
+    (n_outcomes,) = _as_dims((n_outcomes,), "n_outcomes")
     if n_outcomes < 2:
         raise ValueError("rank-1 qubit POVM needs at least 2 outcomes")
     w = random_isometry_mat(2, n_outcomes, seed)
@@ -492,7 +497,7 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     """
     if _bipartite_dims(rho.dims)[1] != 2:
         raise ValueError("measurement optimizer requires a qubit apparatus")
-    if povm_outcomes not in (2, 3):
+    if _as_dims((povm_outcomes,), "povm_outcomes") not in ((2,), (3,)):
         raise ValueError("povm_outcomes must be 2 or 3")
 
     i_sa = mutual_information(rho)

@@ -4,19 +4,17 @@ Everything here works on explicit numpy arrays; total dimensions stay
 small (<= 64), so dense eigendecompositions are used throughout.
 All informational quantities are in bits (log base 2).
 
-Validation happens once, at the public boundary: the four value types
-defined here, `DensityMatrix`, `StateVector`, `Povm` and
-`BroadcastIsometry`, check their input when they are built from caller
-input or returned to the caller. Inside the package, intermediate states
-pass as raw arrays, so no eigensolver runs only to re-check a value the
-package computed itself. A density matrix and each POVM element are
-checked by one rule: Hermitian within HERM_TOL, then PSD within PSD_TOL.
-
-Each value type copies its input once into an array of its own and marks
-it read-only, so a validated value cannot change afterwards. A
-`DensityMatrix` also keeps the spectrum its PSD check computes:
-`von_neumann_entropy` of a `DensityMatrix` makes no eigensolve, and
-`mutual_information` takes S(rho^SA) from it.
+The input contract of every public name is checked once, where input
+enters: array entries are finite, every size or count (dims, a rank, a
+number of outcomes, d_in and d_out) is a positive integer, and anything
+else raises ValueError naming the fault before numpy can warn; the CLI
+exits 2 on it. The four value types, `DensityMatrix`, `StateVector`,
+`Povm` and `BroadcastIsometry`, each make one read-only copy of their
+input (`_owned`, which rejects non-finite entries) and check it; a
+density matrix and each POVM element are Hermitian within HERM_TOL, then
+PSD within PSD_TOL. Inside the package, states pass as raw arrays and
+are not checked again. A `DensityMatrix` keeps the spectrum of its PSD
+check, so `von_neumann_entropy` of one makes no eigensolve.
 """
 
 from __future__ import annotations
@@ -46,34 +44,32 @@ PROB_SLACK = 1e-12
 LOG2 = np.log(2.0)
 
 
-def _fault(err: float, what: str, problem: str) -> str:
-    """Message for a validation residual that failed `err <= tol`: a NaN or
-    infinite residual comes from non-finite entries."""
-    return f"{what} {problem}" if np.isfinite(err) else f"{what} has non-finite entries"
-
-
-def _as_dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of ints; a non-integral one (2.5,
-    or 2.0) raises instead of being truncated. numpy integers pass."""
-    dims = tuple(dims)
+def _as_dims(sizes, what: str) -> tuple[int, ...]:
+    """Sizes or counts as a nonempty tuple of positive ints, numpy integers
+    included; 2.5 or 2.0 raises instead of being truncated. `what` names
+    the argument in the message."""
     try:
-        return tuple(map(operator.index, dims))
-    except TypeError as exc:
-        raise ValueError(f"subsystem dimensions must be integers, got {dims}") from exc
+        out = tuple(map(operator.index, sizes))
+    except TypeError:  # a non-integral size, or `sizes` not a sequence
+        out = ()
+    if not out or min(out) < 1:
+        raise ValueError(f"{what} must be positive integers, got {sizes}")
+    return out
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    dims = _as_dims(dims)
-    if not dims or min(dims) < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    dims = _as_dims(dims, "dims")
     if math.prod(dims) != size:
         raise ValueError(f"product of dims {dims} does not match size {size}")
     return dims
 
 
-def _owned(a) -> np.ndarray:
-    """A read-only complex C-ordered copy of `a`."""
+def _owned(a, what: str) -> np.ndarray:
+    """A read-only complex C-ordered copy of `a`, whose entries are all
+    finite; the one copy each value type makes."""
     out = np.array(a, dtype=complex, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has non-finite entries")
     out.flags.writeable = False
     return out
 
@@ -90,13 +86,9 @@ class _Rebuilt:
 
 def _check_hermitian(mats: np.ndarray, what: str):
     """Raise unless a matrix, or each matrix in a stack, is Hermitian
-    within HERM_TOL. Comparisons are written `not err <= tol` so that a NaN
-    residual, from non-finite entries, fails them; inf - inf is that NaN,
-    not a warning."""
-    with np.errstate(invalid="ignore"):
-        err = abs(mats - mats.conj().swapaxes(-1, -2)).max()
-    if not err <= HERM_TOL:
-        raise ValueError(_fault(err, what, "is not Hermitian"))
+    within HERM_TOL."""
+    if abs(mats - mats.conj().swapaxes(-1, -2)).max() > HERM_TOL:
+        raise ValueError(f"{what} is not Hermitian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +102,17 @@ class DensityMatrix(_Rebuilt):
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = _owned(self.mat)
+        mat = _owned(self.mat, "density matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
         _check_hermitian(mat, "density matrix")
         tr = mat.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         vals = np.linalg.eigvalsh(mat)
-        if not vals[0] >= -PSD_TOL:
+        if vals[0] < -PSD_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         vals.flags.writeable = False
         object.__setattr__(self, "_spectrum", vals)
@@ -133,18 +125,19 @@ class DensityMatrix(_Rebuilt):
 @dataclass(frozen=True, eq=False)
 class StateVector(_Rebuilt):
     """Normalized pure state over a tensor factorization; `vec` is a
-    read-only copy of the input, flattened."""
+    read-only copy of the input, a one-dimensional array."""
 
     vec: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        vec = _owned(self.vec).ravel()
+        vec = _owned(self.vec, "state vector")
+        if vec.ndim != 1:
+            raise ValueError("state vector must be one-dimensional")
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _check_dims(self.dims, vec.size))
-        err = abs(np.linalg.norm(vec) - 1.0)
-        if not err <= NORM_TOL:
-            raise ValueError(_fault(err, "state vector", "is not normalized"))
+        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+            raise ValueError("state vector is not normalized")
 
     @property
     def dim(self) -> int:
@@ -165,19 +158,15 @@ class Povm(_Rebuilt):
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("POVM needs at least one element")
-        shape = np.shape(elements[0])
-        if len(shape) != 2 or shape[0] != shape[1] or any(np.shape(e) != shape for e in elements):
-            raise ValueError("POVM elements must be square and same-sized")
-        stack = _owned([np.eye(shape[0]), *elements])
-        # The Hermitian residual is not finite for non-finite entries, so it
-        # is checked before a sum or an eigensolver sees them.
+        shape = np.shape(elements[0]) if elements else ()
+        if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
+                or any(np.shape(e) != shape for e in elements)):
+            raise ValueError("POVM needs at least one element, all nonempty, square and same-sized")
+        stack = _owned([np.eye(shape[0]), *elements], "POVM element")
         _check_hermitian(stack[1:], "POVM element")
-        err = abs(stack[1:].sum(axis=0) - stack[0]).max()
-        if not err <= POVM_SUM_TOL:
+        if abs(stack[1:].sum(axis=0) - stack[0]).max() > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        if not np.linalg.eigvalsh(stack[1:])[:, 0].min() >= -PSD_TOL:
+        if np.linalg.eigvalsh(stack[1:])[:, 0].min() < -PSD_TOL:
             raise ValueError("POVM element is not PSD")
         object.__setattr__(self, "elements", tuple(stack[1:]))
         object.__setattr__(self, "_stack", stack)
@@ -193,21 +182,19 @@ class BroadcastIsometry(_Rebuilt):
     ancilla_dim: int
 
     def __post_init__(self):
-        mat = _owned(self.matrix)
-        if mat.ndim != 2:
-            raise ValueError("isometry matrix must be two-dimensional")
+        mat = _owned(self.matrix, "isometry matrix")
+        if mat.ndim != 2 or not mat.shape[1]:
+            raise ValueError("isometry matrix must be two-dimensional with at least one column")
         object.__setattr__(self, "matrix", mat)
-        dims = _as_dims((*self.recipient_dims, self.ancilla_dim))
-        object.__setattr__(self, "recipient_dims", dims[:-1])
-        object.__setattr__(self, "ancilla_dim", dims[-1])
-        d_out = math.prod(dims)
+        recipients = _as_dims(self.recipient_dims, "recipient dims")
+        (ancilla,) = _as_dims((self.ancilla_dim,), "ancilla dim")
+        object.__setattr__(self, "recipient_dims", recipients)
+        object.__setattr__(self, "ancilla_dim", ancilla)
+        d_out = math.prod(recipients) * ancilla
         if mat.shape[0] != d_out:
             raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
-        # Non-finite entries leave a NaN residual, which fails the check.
-        with np.errstate(invalid="ignore"):
-            err = abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-        if not err <= ISOMETRY_TOL:
-            raise ValueError(_fault(err, "matrix", "is not an isometry"))
+        if abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max() > ISOMETRY_TOL:
+            raise ValueError("matrix is not an isometry")
 
     @property
     def d_in(self) -> int:
@@ -255,7 +242,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def partial_transpose(mat: np.ndarray, dims, sys: int) -> np.ndarray:
     """Transpose one tensor factor of a square matrix."""
-    dims = _as_dims(dims)
+    dims = _as_dims(dims, "dims")
     d = math.prod(dims)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     return t.swapaxes(sys, sys + len(dims)).reshape(d, d)
@@ -320,6 +307,7 @@ def _purification(mat: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def random_pure_state(dim: int, seed: int) -> StateVector:
+    (dim,) = _as_dims((dim,), "dim")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(z / np.linalg.norm(z), (dim,))
@@ -328,6 +316,7 @@ def random_pure_state(dim: int, seed: int) -> StateVector:
 def random_isometry_mat(d_in: int, d_out: int, seed: int) -> np.ndarray:
     """Haar-distributed isometry (d_out x d_in) from QR of a complex
     Gaussian matrix, with the R-diagonal phase fixed for uniqueness."""
+    d_in, d_out = _as_dims((d_in, d_out), "d_in and d_out")
     if d_in > d_out:
         raise ValueError(f"d_in={d_in} exceeds d_out={d_out}")
     rng = np.random.default_rng(seed)
@@ -343,7 +332,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     """Random mixed state from the Ginibre ensemble (raw matrix)."""
-    rank = dim if rank is None else rank
+    dim, rank = _as_dims((dim, dim if rank is None else rank), "dim and rank")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

@@ -204,7 +204,7 @@ def classical_copy_isometry() -> BroadcastIsometry:
 
 def random_broadcast_isometry(d_in: int, recipient_dims, ancilla_dim: int,
                               seed: int) -> BroadcastIsometry:
-    dims = _as_dims((*recipient_dims, ancilla_dim))
+    dims = _as_dims(recipient_dims, "recipient dims") + _as_dims((ancilla_dim,), "ancilla dim")
     return BroadcastIsometry(random_isometry_mat(d_in, math.prod(dims), seed), dims[:-1], dims[-1])
 
 
@@ -236,6 +236,8 @@ def recipient_infos(rho: DensityMatrix) -> list[float]:
     bipartite state the two agree bit for bit (see `_mutual_info`)."""
     mat, dims = rho.mat, rho.dims
     d_s, n = dims[0], len(dims)
+    if n < 2:
+        raise ValueError(f"expected a system and at least one recipient, got dims {dims}")
     rho_s = mat.reshape(d_s, -1, d_s, mat.shape[0] // d_s).trace(axis1=1, axis2=3)
     pairs = [_contract(mat, dims, [0, i]) for i in range(1, n)]
     singles = [p.trace(axis1=0, axis2=2) for p in pairs]

@@ -255,3 +255,37 @@ class TestVerify:
     def test_run_all_needs_a_sample(self):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             verify.run_all(3, 0)
+
+
+# (argv, exit code, fragment of the one stderr line); "{tmp}" is a fresh
+# directory. An argument the parser rejects is a usage error, exit 1.
+EXIT_CODES = [
+    (("point", "--theta", "2.0"), 1, "theta=2.0 outside [0, pi/4]"),
+    *[(("point", "--theta", value), 1, f"theta={value} outside [0, pi/4]")
+      for value in ("nan", "inf")],
+    # The parser reads "-inf" after a space as an option, not as a value.
+    (("point", "--theta", "-inf"), 1, "argument --theta: expected one argument"),
+    (("point", "--theta=-inf"), 1, "theta=-inf outside [0, pi/4]"),
+    (("point",), 1, "the following arguments are required: --theta"),
+    (("sweep", "--theta-min", "0.2", "--theta-max", "0.1", "--steps", "5", "--out", "{tmp}/x.csv"),
+     1, "need 0 <= theta-min < theta-max <= pi/4"),
+    (("sweep", "--theta-min", "0", "--theta-max", "0.2", "--steps", "2",
+      "--out", "{tmp}/no/dir/x.csv"), 1, "cannot write {tmp}/no/dir/x.csv"),
+    (("sweep", "--theta-min", "0", "--theta-max", "0.2", "--steps", "2.5", "--out", "{tmp}/x.csv"),
+     1, "argument --steps: invalid int value: '2.5'"),
+    (("verify", "--samples", "0"), 1, "--samples must be >= 1"),
+    (("verify", "--samples", "1.5"), 1, "argument --samples: invalid int value: '1.5'"),
+    (("verify", "--seed", "-1"), 1, "--seed must be >= 0"),
+    (("frobnicate",), 1, "argument command: invalid choice: 'frobnicate'"),
+    ((), 1, "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", EXIT_CODES,
+                         ids=[" ".join(argv) or "no-command" for argv, _, _ in EXIT_CODES])
+def test_exit_code(capsys, tmp_path, argv, code, fragment):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    got_code, out, err = run_cli(capsys, *argv)
+    assert (got_code, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment.format(tmp=tmp_path) in err
