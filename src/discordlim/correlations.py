@@ -46,6 +46,7 @@ from .linalg import (
     Povm,
     _as_dims,
     _bipartite_dims,
+    _expect,
     entropy_of_spectrum,
     hermitianize,
     random_isometry_mat,
@@ -111,6 +112,7 @@ class CorrelationReport:
 def mutual_information(rho: DensityMatrix) -> float:
     """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits; S(rho^SA) comes
     from the spectrum `rho` keeps."""
+    _expect(rho, "rho", DensityMatrix)
     return _mutual_info(_bipartite(rho), rho._spectrum)
 
 
@@ -389,6 +391,8 @@ def accessible_information(rho: DensityMatrix, m: Povm) -> float:
     number of outcomes: one contraction of the POVM's stack gives rho^S and
     every branch, and `_j_values` takes all of them through one eigenvalue
     pass."""
+    _expect(rho, "rho", DensityMatrix)
+    _expect(m, "m", Povm)
     return float(_j_values(_branch_states(rho, m._stack), len(m.elements))[0])
 
 
@@ -400,6 +404,11 @@ def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     v = np.array([np.cos(theta_m / 2), np.exp(1j * phi_m) * np.sin(theta_m / 2)])
     p = np.outer(v, v.conj())
     return Povm((p, np.eye(2) - p))
+
+
+# The sigma_z measurement, which the report of a pure state returns: values
+# compare by identity and cannot be written, so every report shares one.
+_Z_POVM = qubit_projective_povm(0.0, 0.0)
 
 
 def random_povm(n_outcomes: int, seed: int) -> Povm:
@@ -495,6 +504,7 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     at most THREE_OUTCOME_MAXITER rounds, and keeps the result where its J
     is higher. Deterministic for fixed input and configuration.
     """
+    _expect(rho, "rho", DensityMatrix)
     if _bipartite_dims(rho.dims)[1] != 2:
         raise ValueError("measurement optimizer requires a qubit apparatus")
     if _as_dims((povm_outcomes,), "povm_outcomes") not in ((2,), (3,)):
@@ -502,23 +512,17 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
 
     i_sa = mutual_information(rho)
     j_at, j_of, bloch = _kernel(rho)
-    pure = _is_pure(rho)
-    if pure:
-        j_best, n = float(j_at(_Z)[0]), _Z[0]
-    else:
-        j_grid = j_at(_GRID)
-        top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
-        j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
+    if _is_pure(rho):
+        j_z = float(j_at(_Z)[0])
+        return CorrelationReport(i_sa, j_z, i_sa - j_z, _Z_POVM)
+    j_grid = j_at(_GRID)
+    top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
+    j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
     t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     f_best = float(np.arctan2(n[1], n[0]))
     measurement = qubit_projective_povm(t_best, f_best)
-    if povm_outcomes == 3 and not pure:
+    if povm_outcomes == 3:
         j3, povm3 = _refine_three_outcome(j_of, t_best, f_best)
         if j3 > j_best:
             j_best, measurement = j3, povm3
-    return CorrelationReport(
-        mutual_info=i_sa,
-        classical_info=j_best,
-        discord=i_sa - j_best,
-        measurement=measurement,
-    )
+    return CorrelationReport(i_sa, j_best, i_sa - j_best, measurement)

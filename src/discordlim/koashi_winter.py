@@ -15,6 +15,7 @@ from .linalg import (
     DensityMatrix,
     StateVector,
     _bipartite_dims,
+    _expect,
     _purification,
     binary_entropy,
     entropy_of_spectrum,
@@ -73,6 +74,7 @@ def concurrence(rho: DensityMatrix) -> float:
     rho = w w^dagger, C = max(0, s_1 - s_2 - ...) over the singular values
     s of tau = w^T (sy x sy) w, which are the square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Any rank."""
+    _expect(rho, "rho", DensityMatrix)
     if rho.dims != (2, 2):
         raise ValueError("concurrence is defined here for two qubits only")
     vals, vecs = np.linalg.eigh(rho.mat)
@@ -99,6 +101,7 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     Requires a qubit system and rank <= 2 (eigenvalues above RANK_TOL) so
     that C is (at most) a qubit.
     """
+    _expect(rho, "rho", DensityMatrix)
     if _bipartite_dims(rho.dims)[0] != 2:
         raise ValueError("the system factor must be a qubit")
     return _kw(rho.mat, rho.dims)

@@ -6,7 +6,9 @@ All informational quantities are in bits (log base 2).
 
 The input contract of every public name is checked once, where input
 enters: array entries are finite, every size or count (dims, a rank, a
-number of outcomes, d_in and d_out) is a positive integer, and anything
+number of outcomes, d_in and d_out) is a positive integer, every seed a
+non-negative one (`_as_seed`), an argument typed as a value type is one
+(`_expect`; `von_neumann_entropy` also takes a raw matrix), and anything
 else raises ValueError naming the fault before numpy can warn; the CLI
 exits 2 on it. The four value types, `DensityMatrix`, `StateVector`,
 `Povm` and `BroadcastIsometry`, each make one read-only copy of their
@@ -55,6 +57,26 @@ def _as_dims(sizes, what: str) -> tuple[int, ...]:
     if not out or min(out) < 1:
         raise ValueError(f"{what} must be positive integers, got {sizes}")
     return out
+
+
+def _as_seed(seed) -> int:
+    """A seed as a non-negative int, numpy integers included; 1.5, -1 and
+    None raise, so that every draw is reproducible."""
+    try:
+        out = operator.index(seed)
+    except TypeError:  # a non-integral seed, or None
+        out = -1
+    if out < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return out
+
+
+def _expect(value, what: str, *kinds):
+    """Raise unless `value` is one of `kinds`, the types its signature
+    names: a raw array where a value type belongs fails here, by name."""
+    if not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be a {names}, got {type(value).__name__}")
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
@@ -225,6 +247,7 @@ def _contract(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.nda
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not in `keep`; kept factors stay in order."""
+    _expect(rho, "rho", DensityMatrix)
     n = len(rho.dims)
     try:
         keep = sorted(set(operator.index(k) for k in keep))
@@ -291,6 +314,7 @@ def purify(rho: DensityMatrix) -> StateVector:
     """Purification |Psi> = sum_k sqrt(lam_k) |e_k>|k>, ancilla ordered by
     descending eigenvalue; ancilla dimension equals the rank of rho (the
     eigenvalues above RANK_TOL; the rest are dropped)."""
+    _expect(rho, "rho", DensityMatrix)
     psi, rank = _purification(rho.mat)
     return StateVector(psi, rho.dims + (rank,))
 
@@ -308,7 +332,7 @@ def _purification(mat: np.ndarray) -> tuple[np.ndarray, int]:
 
 def random_pure_state(dim: int, seed: int) -> StateVector:
     (dim,) = _as_dims((dim,), "dim")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(z / np.linalg.norm(z), (dim,))
 
@@ -319,7 +343,7 @@ def random_isometry_mat(d_in: int, d_out: int, seed: int) -> np.ndarray:
     d_in, d_out = _as_dims((d_in, d_out), "d_in and d_out")
     if d_in > d_out:
         raise ValueError(f"d_in={d_in} exceeds d_out={d_out}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     z = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -333,7 +357,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     """Random mixed state from the Ginibre ensemble (raw matrix)."""
     dim, rank = _as_dims((dim, dim if rank is None else rank), "dim and rank")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return hermitianize(rho / np.trace(rho).real)

@@ -31,6 +31,7 @@ from .linalg import (
     _as_dims,
     _bipartite_dims,
     _contract,
+    _expect,
     hermitianize,
     random_isometry_mat,
     von_neumann_entropies,
@@ -52,6 +53,9 @@ class PreparedEnsembleChannel:
     prepared: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
+        _expect(self.measurement, "measurement", Povm)
+        for sigma in self.prepared:
+            _expect(sigma, "prepared state", DensityMatrix)
         if len(self.measurement.elements) != len(self.prepared):
             raise ValueError("one prepared state per measurement outcome required")
 
@@ -69,6 +73,8 @@ class ClonerOutput:
 def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> DensityMatrix:
     """Apply the entanglement-breaking map
     sum_i Tr_A[(1 x E_i) rho] x sigma_i."""
+    _expect(rho, "rho", DensityMatrix)
+    _expect(ch, "ch", PreparedEnsembleChannel)
     d_r = ch.prepared[0].dim
     if any(sigma.dim != d_r for sigma in ch.prepared):
         raise ValueError("prepared states must share one dimension")
@@ -94,6 +100,8 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
     keep mutual overlap s, and sit symmetrically about the bisector,
     which maximizes the global fidelity
     F = (|<alpha|psi psi>|^2 + |<beta|phi phi>|^2) / 2."""
+    _expect(psi, "psi", StateVector)
+    _expect(phi, "phi", StateVector)
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("cloner inputs must be qubits")
     s = np.vdot(psi.vec, phi.vec)
@@ -211,6 +219,8 @@ def random_broadcast_isometry(d_in: int, recipient_dims, ancilla_dim: int,
 def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) -> DensityMatrix:
     """Send the apparatus factor through the isometry and discard the
     ancilla; output is over system x recipients."""
+    _expect(state, "state", DensityMatrix, StateVector)
+    _expect(iso, "iso", BroadcastIsometry)
     d_s, d_a = _bipartite_dims(state.dims)
     if iso.d_in != d_a:
         raise ValueError("isometry input does not match the apparatus dimension")
@@ -234,6 +244,7 @@ def recipient_infos(rho: DensityMatrix) -> list[float]:
     through one batched eigensolve per matrix size, 20-50% faster than
     `mutual_information` per recipient for 2-4 qubit recipients. On a
     bipartite state the two agree bit for bit (see `_mutual_info`)."""
+    _expect(rho, "rho", DensityMatrix)
     mat, dims = rho.mat, rho.dims
     d_s, n = dims[0], len(dims)
     if n < 2:

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--samples", "3")
         assert code == 2
         assert "FAIL" in out
+
+    def test_each_suite_is_pinned_in_exactly_one_test(self):
+        # Every suite of `verify` runs in one run_suite(...) call under
+        # tests/, at one pinned (seed, samples); none twice, none unpinned.
+        pinned = [ast.unparse(node.args[0])
+                  for path in Path(__file__).parent.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_suite"]
+        assert sorted(pinned) == sorted(f"verify.{suite.__name__}" for suite in verify.ALL_SUITES)
 
     def test_rejects_bad_sample_count(self, capsys):
         for flag, value in (("--samples", "0"), ("--seed", "-1")):

@@ -14,7 +14,8 @@ import discordlim as dl
 NON_FINITE = (np.nan, np.inf, -np.inf)
 HALF = np.eye(2) / 2
 E_SKEW = np.array([[0.5, 0.3j], [0.3j, 0.5]])
-COPY = dl.classical_copy_isometry().matrix
+COPY_ISOMETRY = dl.classical_copy_isometry()
+COPY = COPY_ISOMETRY.matrix
 BELL = dl.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 ONE_QUBIT = dl.DensityMatrix(HALF, (2,))
 QUBIT_QUTRIT = dl.DensityMatrix(np.eye(6) / 6, (2, 3))
@@ -25,12 +26,19 @@ Z = dl.qubit_projective_povm(0.0, 0.0)
 QUTRIT = dl.random_pure_state(3, 1)
 PSI = dl.StateVector(np.array([1.0, 0.0]), (2,))
 PHI_NEGATIVE = dl.StateVector(np.array([-np.cos(0.45), np.sin(0.45)]), (2,))
+CHANNEL = dl.PreparedEnsembleChannel(Z, (ONE_QUBIT, ONE_QUBIT))
 
 DIMS = "dims must be positive integers"
 SQUARE = "POVM needs at least one element, all nonempty, square and same-sized"
 RECIPIENTS = "recipient dims must be positive integers"
 ANCILLA = "ancilla dim must be positive integers"
 THETA = r"outside \[0, pi/4\]"
+SEED = "seed must be a non-negative integer"
+
+
+def raw(arg, kind="DensityMatrix", given="ndarray"):
+    """The message of a value-type argument given as something else."""
+    return f"{arg} must be a {kind}, got {given}"
 
 
 def with_entry(a, pos, value):
@@ -153,17 +161,42 @@ ROWS = [
     ("apply_broadcast", "apparatus-mismatch",
      (FAMILY, dl.random_broadcast_isometry(3, (2, 2), 1, 0)),
      "isometry input does not match the apparatus dimension"),
-    ("apply_broadcast", "three-factors", (THREE_QUBITS, dl.classical_copy_isometry()),
+    ("apply_broadcast", "three-factors", (THREE_QUBITS, COPY_ISOMETRY),
      "expected a bipartite layout"),
     ("recipient_infos", "one-factor", (ONE_QUBIT,),
      "expected a system and at least one recipient"),
+    # A raw array where a signature names a value type.
+    *[(name, "raw-rho", args, raw("rho")) for name, args in (
+        ("mutual_information", (BELL.mat,)), ("accessible_information", (BELL.mat, Z)),
+        ("classical_correlation", (BELL.mat,)), ("purify", (HALF,)),
+        ("partial_trace", (BELL.mat, [0])), ("concurrence", (BELL.mat,)),
+        ("entanglement_of_formation", (BELL.mat,)), ("classical_correlation_kw", (FAMILY.mat,)),
+        ("measure_and_prepare", (FAMILY.mat, CHANNEL)), ("locc_transfer_info", (BELL.mat, Z)),
+        ("recipient_infos", (BELL.mat,)))],
+    *[(name, "raw-m", (BELL, Z.elements), raw("m", "Povm", "tuple"))
+      for name in ("accessible_information", "locc_transfer_info")],
+    ("measure_and_prepare", "raw-ch", (FAMILY, (Z, CHANNEL.prepared)),
+     raw("ch", "PreparedEnsembleChannel", "tuple")),
+    ("optimal_state_dependent_cloner", "raw-psi", (PSI.vec, PSI), raw("psi", "StateVector")),
+    ("optimal_state_dependent_cloner", "raw-phi", (PSI, PSI.vec), raw("phi", "StateVector")),
+    ("apply_broadcast", "raw-state", (FAMILY.mat, COPY_ISOMETRY),
+     raw("state", "DensityMatrix or StateVector")),
+    ("apply_broadcast", "raw-iso", (FAMILY, COPY), raw("iso", "BroadcastIsometry")),
+    ("PreparedEnsembleChannel", "raw-measurement", (Z.elements, CHANNEL.prepared),
+     raw("measurement", "Povm", "tuple")),
+    ("PreparedEnsembleChannel", "raw-prepared", (Z, (ONE_QUBIT, HALF)), raw("prepared state")),
+    # Every seed is a non-negative integer: None would draw afresh each call.
+    *[(name, f"seed-{seed}", (*args, seed), SEED) for name, args in (
+        ("random_pure_state", (2,)), ("random_isometry_mat", (2, 4)), ("random_unitary", (2,)),
+        ("random_density_matrix", (2,)), ("random_povm", (2,)),
+        ("random_broadcast_isometry", (2, (2, 2), 1))) for seed in (1.5, -1, None)],
 ]
 
 # Names with no input a caller can put outside the contract: no arguments
-# (find_crossover, classical_copy_isometry), result records the library
-# fills in, and purify, which purifies every DensityMatrix.
+# (find_crossover, classical_copy_isometry), and result records the
+# library fills in.
 NOTHING_TO_REJECT = {"find_crossover", "classical_copy_isometry", "ClonerOutput",
-                     "CorrelationReport", "CrossoverResult", "purify"}
+                     "CorrelationReport", "CrossoverResult"}
 
 
 @pytest.mark.parametrize("name, args, message", [

@@ -46,19 +46,10 @@ class TestPartialTrace:
                 got = la.partial_trace(rho, keep).mat
                 assert np.allclose(got, brute_partial_trace(mat, dims, keep), atol=1e-12)
 
-    def test_errors(self):
-        rho = example_state(0.1)
-        with pytest.raises(ValueError):
-            la.partial_trace(rho, [])
-        with pytest.raises(ValueError):
-            la.partial_trace(rho, [2])
-
     def test_keep_indices_must_be_integers(self):
-        # int() would truncate 0.7 to factor 0; an index must be integral.
+        # Numpy integers and bools are integers; 0.7, 1.0 and "1" raise
+        # (rows of test_contract.py).
         rho = example_state(0.1)
-        for keep in ([0.7], [1.0], [0, "1"]):
-            with pytest.raises(ValueError, match="must be integers"):
-                la.partial_trace(rho, keep)
         want = la.partial_trace(rho, [1]).mat
         for index in (np.int64(1), np.uint8(1), True):
             assert np.array_equal(la.partial_trace(rho, [index]).mat, want)
@@ -138,20 +129,6 @@ class TestEntropy:
         for p in np.linspace(0, 1, 101):
             assert la.binary_entropy(p) == pytest.approx(la.binary_entropy(1 - p), abs=1e-12)
 
-    def test_raw_input_is_validated_as_a_density_matrix(self):
-        # A raw matrix gets the value type's checks and messages: NaN and inf
-        # entries no longer read as zero entropy, nor a negative eigenvalue
-        # as a negative one.
-        for bad, message in ((np.nan, "non-finite"), (np.inf, "non-finite")):
-            mat = np.eye(2, dtype=complex) / 2
-            mat[0, 0] = bad
-            with pytest.raises(ValueError, match=message):
-                la.von_neumann_entropy(mat)
-        with pytest.raises(ValueError, match="significantly negative eigenvalue"):
-            la.von_neumann_entropy(np.diag([2.0, -1.0]))
-        with pytest.raises(ValueError, match="must be square"):
-            la.von_neumann_entropy(np.array([0.5, 0.5]))
-
     def test_entropy_of_a_stack_is_each_spectrum_entropy(self):
         vals = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, -1e-17], [0.75, 0.25, 0.0]])
         want = [la.entropy_of_spectrum(v) for v in vals]
@@ -222,15 +199,13 @@ class TestRandomStates:
     def test_determinism(self):
         assert np.array_equal(la.random_isometry_mat(2, 4, 9), la.random_isometry_mat(2, 4, 9))
         assert np.array_equal(la.random_pure_state(4, 9).vec, la.random_pure_state(4, 9).vec)
+        assert np.array_equal(la.random_pure_state(4, np.uint8(9)).vec,
+                              la.random_pure_state(4, 9).vec)
 
     def test_column_norms(self):
         for seed in range(100):
             v = la.random_isometry_mat(3, 5, seed)
             assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-10)
-
-    def test_rejects_shrinking_map(self):
-        with pytest.raises(ValueError):
-            la.random_isometry_mat(4, 2, 0)
 
     def test_density_matrix_eigenvalues(self):
         for k in range(100):
@@ -306,13 +281,6 @@ class TestValueTypes:
         assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
         assert la.StateVector(np.ones(4) / 2, (np.int32(4),)).dims == (4,)
 
-    def test_rejects_non_positive_dims(self):
-        for dims in ((-2, -1), ()):
-            with pytest.raises(ValueError, match="must be positive"):
-                la.DensityMatrix(np.eye(2) / 2, dims)
-        with pytest.raises(ValueError, match="must be positive"):
-            la.StateVector(np.ones(2) / np.sqrt(2), (2, 1, 0))
-
     def test_value_types_live_in_linalg(self):
         # The rules the value types share (_owned, _Rebuilt) stay private to
         # the module that defines all four of them.
@@ -332,7 +300,3 @@ class TestValueTypes:
         dims = (np.int64(2), np.int64(2))
         assert np.array_equal(la.partial_transpose(mat, dims, 1),
                               la.partial_transpose(mat, (2, 2), 1))
-
-    def test_binary_entropy_rejects_nan(self):
-        with pytest.raises(ValueError):
-            la.binary_entropy(float("nan"))

@@ -227,10 +227,6 @@ class TestCloningRecipientInfo:
             want = corr.mutual_information(la.partial_trace(rho, [0, 1]))
             assert proto.cloning_recipient_info(theta) == want, theta
 
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            proto.cloning_recipient_info(1.0)
-
     def test_angles_within_the_slack_are_the_endpoints(self):
         # Below 0 the unclamped branch overlap is negative, outside the
         # cloner's contract.
