@@ -263,14 +263,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(hermitianize(red), kept_dims)
 
 
-def partial_transpose(mat: np.ndarray, dims, sys: int) -> np.ndarray:
-    """Transpose one tensor factor of a square matrix."""
-    dims = _as_dims(dims, "dims")
-    d = math.prod(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    return t.swapaxes(sys, sys + len(dims)).reshape(d, d)
-
-
 def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
     """Entropy in bits of a spectrum, or of each one in a stack; eigenvalues
     at or below ENTROPY_CLIP contribute nothing."""

@@ -258,7 +258,7 @@ def suite_proto_entanglement_breaking(seed: int, samples: int) -> SuiteResult:
             la.DensityMatrix(la.random_density_matrix(2, s + 10 + i), (2,)) for i in range(2)
         )
         out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
-        pt = la.partial_transpose(out.mat, out.dims, 1)
+        pt = out.mat.reshape(out.dims * 2).swapaxes(1, 3).reshape(out.mat.shape)
         res.check(np.linalg.eigvalsh(pt)[0] >= -PPT_TOL, f"output not PPT, seed {s}")
     return res
 

@@ -75,11 +75,6 @@ class TestMutualInformation:
     def test_classical_correlated_pair(self):
         assert corr.mutual_information(example_state(0.0)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_non_bipartite(self):
-        rho = la.DensityMatrix(np.eye(8) / 8, (2, 2, 2))
-        with pytest.raises(ValueError):
-            corr.mutual_information(rho)
-
     def test_kept_spectrum_gives_the_three_eigensolve_value_bit_for_bit(self):
         # The raw route: an eigensolve of each marginal and of the state.
         def three_eigensolves(rho):
@@ -123,11 +118,6 @@ class TestPostMeasurementEnsemble:
         assert np.allclose(ens[0][1], np.diag([c2, s2]), atol=1e-12)
         assert np.allclose(ens[1][1], np.diag([s2, c2]), atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
-        with pytest.raises(ValueError, match="POVM dimension does not match the apparatus"):
-            corr._branch_states(rho, BASIS_POVM.elements)
-
     def test_branch_contraction_matches_the_kron_reference(self):
         for d_s in (2, 3):
             for k in (2, 3):
@@ -159,11 +149,6 @@ class TestAccessibleInformation:
         expected = 1.0 - la.binary_entropy(c2)
         got = corr.accessible_information(example_state(theta), BASIS_POVM)
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
-        with pytest.raises(ValueError, match="POVM dimension does not match the apparatus"):
-            corr.accessible_information(rho, BASIS_POVM)
 
     def test_povm_stack_gives_the_rebuilt_stack_value_bit_for_bit(self):
         # The kept stack (identity, then the elements) against the stack
@@ -209,41 +194,6 @@ class TestQubitProjectivePovm:
 
 
 class TestPovmType:
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
-            corr.Povm((np.diag([2.0, -1.0]), np.diag([-1.0, 2.0])))
-
-    def test_rejects_non_hermitian(self):
-        # Complete, and PSD in its Hermitian part, which is diag(0.5, 0.5);
-        # read as a measurement of example_state(0.3) it gave J = 0 bits.
-        e = np.array([[0.5, 0.3j], [0.3j, 0.5]])
-        with pytest.raises(ValueError, match="POVM element is not Hermitian"):
-            corr.Povm((e, np.eye(2) - e))
-
-    def test_rejects_no_elements(self):
-        with pytest.raises(ValueError, match="at least one element"):
-            corr.Povm(())
-
-    @pytest.mark.parametrize("elements", [(np.ones((2, 3)) / 2,),
-                                          (np.eye(2) / 2, np.eye(3) / 2),
-                                          (1.0,)])
-    def test_rejects_non_square_or_mixed_sizes(self, elements):
-        with pytest.raises(ValueError, match="square and same-sized"):
-            corr.Povm(elements)
-
-    def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            corr.Povm((np.diag([0.5, 0.5]),))
-
-    def test_rejects_non_finite_entries(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                corr.Povm((np.diag([1.0, bad]), np.diag([0.0, 1.0])))
-        # Opposite infinities give inf - inf in a residual: a ValueError, not
-        # a numpy warning.
-        with pytest.raises(ValueError, match="non-finite"):
-            corr.Povm((np.diag([np.inf, 0.0]), np.diag([-np.inf, 1.0])))
-
     def test_owns_read_only_copies(self):
         # Writing into a validated POVM would leave a non-POVM behind it.
         m = corr.qubit_projective_povm(0.3, 0.2)
@@ -260,10 +210,6 @@ class TestPovmType:
         for n in (2, 3, 4):
             m = corr.random_povm(n, seed=n)
             assert len(m.elements) == n
-
-    def test_random_povm_needs_two_outcomes(self):
-        with pytest.raises(ValueError, match="at least 2 outcomes"):
-            corr.random_povm(1, seed=0)
 
 
 class TestClassicalCorrelation:
@@ -290,16 +236,6 @@ class TestClassicalCorrelation:
             assert rep.mutual_info >= -1e-8
             assert rep.classical_info >= -1e-8
             assert rep.discord >= -1e-8
-
-    def test_rejects_non_qubit_apparatus(self):
-        rho = la.DensityMatrix(np.eye(6) / 6, (2, 3))
-        with pytest.raises(ValueError):
-            corr.classical_correlation(rho)
-
-    @pytest.mark.parametrize("povm_outcomes", [1, 4])
-    def test_rejects_other_outcome_counts(self, povm_outcomes):
-        with pytest.raises(ValueError, match="povm_outcomes must be 2 or 3"):
-            corr.classical_correlation(BELL, povm_outcomes)
 
     def test_bell_diagonal_states_match_the_exact_value(self):
         # Full rank, so no KW route: the Bell-state weights are Dirichlet

@@ -11,7 +11,7 @@ import pytest
 import discordlim
 from discordlim import correlations as corr
 from discordlim import linalg as la
-from discordlim.koashi_winter import classical_correlation_kw, example_state
+from discordlim.koashi_winter import example_state
 
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
 SIGMA = (np.eye(2), *PAULI)
@@ -148,16 +148,6 @@ class TestOptimizer:
             r2.mutual_info, r2.classical_info, r2.discord)
         assert all(np.array_equal(a, b)
                    for a, b in zip(r1.measurement.elements, r2.measurement.elements))
-
-    def test_kw_gap_on_sweep_grid(self):
-        # The 200 rows of `sweep --theta-min 0 --theta-max 0.25 --in-pi
-        # --steps 200`. Both routes are within a few ulps of the exact
-        # family value (tests/test_koashi_winter.py), so any gap above
-        # rounding is an optimizer or concurrence fault.
-        worst = max(abs(corr.classical_correlation(example_state(t)).classical_info
-                        - classical_correlation_kw(example_state(t)))
-                    for t in SWEEP)
-        assert worst <= 1e-14
 
 
 def test_optimizer_does_not_import_scipy_optimize():

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -101,16 +99,6 @@ class TestMeasureAndPrepare:
             assert out.dims == (d_s, 3)
             assert np.max(np.abs(out.mat - ref)) <= 1e-13
 
-    def test_outcome_count_mismatch(self):
-        with pytest.raises(ValueError):
-            proto.PreparedEnsembleChannel(BASIS_POVM, qubit_flags()[:1])
-
-    def test_prepared_states_must_share_a_dimension(self):
-        sigmas = (qubit_flags()[0], la.DensityMatrix(np.eye(3) / 3, (3,)))
-        ch = proto.PreparedEnsembleChannel(BASIS_POVM, sigmas)
-        with pytest.raises(ValueError, match="share one dimension"):
-            proto.measure_and_prepare(example_state(0.1), ch)
-
     def test_outputs_pass_partial_transpose_check(self, run_suite):
         run_suite(verify.suite_proto_entanglement_breaking, seed=11, samples=50, checks=50)
 
@@ -189,17 +177,6 @@ class TestCloner:
         assert abs(np.vdot(out.alpha.vec, out.beta.vec) - s) <= verify.CLONER_OVERLAP_TOL
         assert out.fidelity == pytest.approx(verify._cloner_fidelity_scan(psi, phi),
                                              abs=verify.CLONER_SCAN_TOL)
-
-    def test_rejects_non_qubit(self):
-        big = la.random_pure_state(3, 1)
-        with pytest.raises(ValueError):
-            proto.optimal_state_dependent_cloner(big, big)
-
-    def test_rejects_a_negative_overlap(self):
-        psi = la.StateVector(np.array([1.0, 0.0]), (2,))
-        phi = la.StateVector(np.array([-np.cos(0.45), np.sin(0.45)]), (2,))
-        with pytest.raises(ValueError, match="real nonnegative input overlap"):
-            proto.optimal_state_dependent_cloner(psi, phi)
 
 
 class TestCloningRecipientInfo:
@@ -282,15 +259,6 @@ class TestBroadcast:
         s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
         assert infos[0] + infos[1] == pytest.approx(2 * s_s, abs=1e-8)
 
-    def test_rejects_non_finite_isometry(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for bad in (np.nan, np.inf, -np.inf):
-                v = proto.classical_copy_isometry().matrix.copy()
-                v[0, 1] = bad
-                with pytest.raises(ValueError, match="non-finite"):
-                    proto.BroadcastIsometry(v, (2, 2), 1)
-
     def test_pass_through_embedding(self):
         # Apparatus goes straight to R1, R2 held in a fixed pure state.
         v = np.zeros((4, 2))
@@ -330,24 +298,6 @@ class TestBroadcast:
         for rho in states:
             assert proto.recipient_infos(rho) == [corr.mutual_information(rho)]
 
-    def test_dimension_mismatch(self):
-        iso = proto.random_broadcast_isometry(3, (2, 2), 1, 0)
-        with pytest.raises(ValueError):
-            proto.apply_broadcast(example_state(0.1), iso)
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(ValueError):
-            proto.BroadcastIsometry(np.ones((4, 2)), (2, 2), 1)
-
-    def test_rejects_a_matrix_that_is_not_two_dimensional(self):
-        with pytest.raises(ValueError, match="must be two-dimensional"):
-            proto.BroadcastIsometry(np.ones(4) / 2, (2, 2), 1)
-
-    def test_rejects_rows_that_do_not_match_the_dims(self):
-        v = proto.classical_copy_isometry().matrix
-        with pytest.raises(ValueError, match="do not match output dim 8"):
-            proto.BroadcastIsometry(v, (2, 2), 2)
-
     def test_owns_a_read_only_copy(self):
         v = proto.classical_copy_isometry().matrix.copy()
         iso = proto.BroadcastIsometry(v, (2, 2), 1)
@@ -356,15 +306,7 @@ class TestBroadcast:
         with pytest.raises(ValueError, match="read-only"):
             iso.matrix[0, 0] = 0.0
 
-    def test_rejects_non_integral_dims(self):
-        v = proto.classical_copy_isometry().matrix
-        message = "(recipient dims|ancilla dim) must be positive integers"
-        for recipients, ancilla in (((2, 2.0), 1), ((4.5,), 1), ((2, 2), 1.0)):
-            with pytest.raises(ValueError, match=message):
-                proto.BroadcastIsometry(v, recipients, ancilla)
-        for recipients, ancilla in (((2, 2.5), 1), ((2, 2), 2.0)):
-            with pytest.raises(ValueError, match=message):
-                proto.random_broadcast_isometry(2, recipients, ancilla, 0)
+    def test_accepts_numpy_integer_dims(self):
         iso = proto.random_broadcast_isometry(2, (np.int64(2), np.uint8(2)), np.int32(2), 0)
         assert iso.recipient_dims == (2, 2) and iso.ancilla_dim == 2
 
