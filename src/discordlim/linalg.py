@@ -158,7 +158,7 @@ class StateVector(_Rebuilt):
             raise ValueError("state vector must be one-dimensional")
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _check_dims(self.dims, vec.size))
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+        if abs(_norm(vec) - 1.0) > NORM_TOL:
             raise ValueError("state vector is not normalized")
 
     @property
@@ -235,16 +235,6 @@ def _bipartite_dims(dims) -> tuple[int, int]:
     return dims
 
 
-def _contract(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.ndarray:
-    """A raw matrix over `dims` reduced to the sorted factors `keep`, as a
-    (kept rows, kept columns) tensor: one einsum with row labels 0..n-1 and
-    column labels n..2n-1, a traced factor sharing its row label."""
-    n = len(dims)
-    cols = [n + k if k in keep else k for k in range(n)]
-    return np.einsum(np.reshape(mat, dims + dims), list(range(n)) + cols,
-                     keep + [n + k for k in keep])
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not in `keep`; kept factors stay in order."""
     _expect(rho, "rho", DensityMatrix)
@@ -257,16 +247,31 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    kept_dims = tuple(rho.dims[i] for i in keep)
-    d = math.prod(kept_dims)
-    red = _contract(rho.mat, rho.dims, keep).reshape(d, d)
-    return DensityMatrix(hermitianize(red), kept_dims)
+    return DensityMatrix(hermitianize(_reduce(rho.mat, rho.dims, keep)),
+                         tuple(rho.dims[i] for i in keep))
+
+
+def _reduce(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """A raw matrix over `dims` reduced to the factors in `keep`. Each run of
+    adjacent traced factors is one row and one column axis, traced by
+    `ndarray.trace`, the last first, so the axes before it keep their places."""
+    shape, traced = [], []
+    for k, d in enumerate(dims):
+        if k not in keep and traced and traced[-1]:
+            shape[-1] *= d
+        else:
+            shape.append(d)
+            traced.append(k not in keep)
+    t = mat.reshape(shape * 2)
+    for k in range(len(shape) - 1, -1, -1):
+        if traced[k]:
+            t = t.trace(axis1=k, axis2=k + t.ndim // 2)
+    return t.reshape(math.prod(t.shape[:t.ndim // 2]), -1)
 
 
 def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
-    """Entropy in bits of a spectrum, or of each one in a stack; eigenvalues
-    at or below ENTROPY_CLIP contribute nothing."""
-    vals = np.asarray(vals, dtype=float)
+    """Entropy in bits of a float64 spectrum, or of each one in a stack;
+    eigenvalues at or below ENTROPY_CLIP contribute nothing."""
     logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
     s = -(vals * logs).sum(axis=-1) / LOG2
     return float(s) if s.ndim == 0 else s
@@ -279,19 +284,6 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, np.shape(rho)[:1])
     return entropy_of_spectrum(rho._spectrum)
-
-
-def von_neumann_entropies(mats) -> np.ndarray:
-    """von Neumann entropies in bits of a sequence of raw square matrices,
-    read as their Hermitian parts: one batched `eigvalsh` per matrix size."""
-    by_size: dict[int, list[int]] = {}
-    for k, m in enumerate(mats):
-        by_size.setdefault(m.shape[0], []).append(k)
-    out = np.empty(len(mats))
-    for idx in by_size.values():
-        vals = np.linalg.eigvalsh(hermitianize(np.array([mats[k] for k in idx])))
-        out[idx] = entropy_of_spectrum(vals)
-    return out
 
 
 def binary_entropy(p: float) -> float:
@@ -316,17 +308,21 @@ def _purification(mat: np.ndarray) -> tuple[np.ndarray, int]:
     space x ancilla, and the ancilla dimension."""
     vals, vecs = np.linalg.eigh(mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rank = max(1, int(np.sum(vals > RANK_TOL)))
-    amps = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
-    psi = amps.reshape(mat.shape[0] * rank)
-    return psi / np.linalg.norm(psi), rank
+    rank = max(1, np.count_nonzero(vals > RANK_TOL))
+    psi = (vecs[:, :rank] * np.sqrt(np.maximum(vals[:rank], 0.0))).reshape(mat.shape[0] * rank)
+    return psi / _norm(psi), rank
+
+
+def _norm(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a complex vector, its two real dots alone."""
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def random_pure_state(dim: int, seed: int) -> StateVector:
     (dim,) = _as_dims((dim,), "dim")
     rng = np.random.default_rng(_as_seed(seed))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(z / np.linalg.norm(z), (dim,))
+    return StateVector(z / _norm(z), (dim,))
 
 
 def random_isometry_mat(d_in: int, d_out: int, seed: int) -> np.ndarray:
