@@ -110,19 +110,12 @@ class CorrelationReport:
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits; S(rho^SA) comes
-    from the spectrum `rho` keeps."""
+    """I(S:A) = S(rho^S) + S(rho^A) - S(rho^SA), in bits, from the marginal
+    entropies `rho` keeps (`DensityMatrix._marginals`, computed on first
+    use) and the spectrum it keeps."""
     _expect(rho, "rho", DensityMatrix)
-    return _mutual_info(_bipartite(rho), rho._spectrum)
-
-
-def _mutual_info(r: np.ndarray, spectrum: np.ndarray) -> float:
-    """I(S:A) of a raw (d_s, d_a, d_s, d_a) state tensor whose spectrum is
-    given: two direct eigensolves, of the marginals, where
-    `protocols.recipient_infos` stacks them; the two give the same bits."""
-    s_s, s_a = (entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(m))) for m in (
-        r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)))
-    return s_s + s_a - entropy_of_spectrum(spectrum)
+    s_s, s_a = rho._marginals
+    return s_s + s_a - entropy_of_spectrum(rho._spectrum)
 
 
 def _bipartite(rho: DensityMatrix) -> np.ndarray:

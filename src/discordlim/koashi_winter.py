@@ -18,8 +18,6 @@ from .linalg import (
     _expect,
     _purification,
     binary_entropy,
-    entropy_of_spectrum,
-    hermitianize,
 )
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -104,12 +102,13 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     _expect(rho, "rho", DensityMatrix)
     if _bipartite_dims(rho.dims)[0] != 2:
         raise ValueError("the system factor must be a qubit")
-    return _kw(rho.mat, rho.dims)
+    return _kw(rho.mat, rho.dims, rho._marginals[0])
 
 
-def _kw(mat: np.ndarray, dims: tuple[int, int]) -> float:
-    """The KW route on a raw qubit x apparatus matrix; raises if its rank
-    exceeds 2."""
+def _kw(mat: np.ndarray, dims: tuple[int, int], s_s: float) -> float:
+    """The KW route on a raw qubit x apparatus matrix whose S(rho^S) is
+    given, as a `DensityMatrix` keeps it: one eigensolve, the
+    purification's. Raises if the rank exceeds 2."""
     d_s, d_a = dims
     # The purification keeps exactly the eigenvalues that count toward the
     # rank, so its ancilla dimension is the checked rank.
@@ -117,8 +116,6 @@ def _kw(mat: np.ndarray, dims: tuple[int, int]) -> float:
     if rank > 2:
         raise ValueError(f"state rank exceeds 2 (eigenvalues above {RANK_TOL}); "
                          "purifying system is not a qubit")
-    rho_s = np.trace(mat.reshape(d_s, d_a, d_s, d_a), axis1=1, axis2=3)
-    s_s = entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(rho_s)))
     if rank == 1:
         # Pure input: purifying system is trivial and E_F vanishes.
         return s_s

@@ -16,7 +16,9 @@ input (`_owned`, which rejects non-finite entries) and check it; a
 density matrix and each POVM element are Hermitian within HERM_TOL, then
 PSD within PSD_TOL. Inside the package, states pass as raw arrays and
 are not checked again. A `DensityMatrix` keeps the spectrum of its PSD
-check, so `von_neumann_entropy` of one makes no eigensolve.
+check, so `von_neumann_entropy` of one makes no eigensolve; a bipartite
+one keeps S(rho^S) and S(rho^A) from the first call that needs them, for I
+and I^c_KW alike (`_marginals`); a copy computes them again.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +120,8 @@ def _check_hermitian(mats: np.ndarray, what: str):
 class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, PSD operator over a tensor factorization.
     `mat` is a read-only copy of the input; `_spectrum` holds its ascending
-    eigenvalues, from the PSD check."""
+    eigenvalues, from the PSD check; `_marginals`, of a bipartite state,
+    its marginal entropies once a call has needed them."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
@@ -142,6 +146,20 @@ class DensityMatrix(_Rebuilt):
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def _marginals(self) -> tuple[float, float]:
+        """(S(rho^S), S(rho^A)) of a bipartite state, computed on first use:
+        one stacked `eigvalsh` when the two marginals share a shape, else
+        one each; the same bits either way."""
+        d_s, d_a = _bipartite_dims(self.dims)
+        r = self.mat.reshape(d_s, d_a, d_s, d_a)
+        marginals = r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
+        if d_s != d_a:
+            return tuple(entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(m)))
+                         for m in marginals)
+        vals = np.linalg.eigvalsh(hermitianize(np.array(marginals)))
+        return tuple(entropy_of_spectrum(vals).tolist())
 
 
 @dataclass(frozen=True, eq=False)

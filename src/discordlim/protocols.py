@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _branch_states, _mutual_info, accessible_information
+from .correlations import _branch_states, accessible_information
 from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
 from .linalg import (
     BroadcastIsometry,
@@ -139,12 +139,17 @@ def cloning_recipient_info(theta: float) -> float:
 
 
 def _cloned_info(psi: np.ndarray, phi: np.ndarray) -> float:
-    """`cloning_recipient_info` on raw branch vectors: rho^{S R1} written as its
-    diagonal blocks Tr_R2 |alpha><alpha| / 2 and Tr_R2 |beta><beta| / 2."""
+    """`cloning_recipient_info` on raw branch vectors. rho^{S R1} is block
+    diagonal in the system flag, with blocks Tr_R2 |alpha><alpha| / 2 and
+    Tr_R2 |beta><beta| / 2, so one `eigvalsh` of four 2x2 matrices gives
+    its spectrum, the sorted union of the blocks' spectra, and those of
+    rho^S, diagonal with the blocks' traces, and rho^R1, their sum."""
     v = np.array(_clone(psi, phi)).reshape(2, 2, 1, 2)  # (output, R1, 1, R2)
-    red = np.zeros((4, 4), dtype=complex)
-    red[:2, :2], red[2:, 2:] = (0.5 * (v * v.conj().swapaxes(1, 2))).sum(axis=-1)
-    return _mutual_info(red.reshape(2, 2, 2, 2), np.linalg.eigvalsh(red))
+    blocks = (0.5 * (v * v.conj().swapaxes(1, 2))).sum(axis=-1)
+    marginals = np.array([np.diag(blocks.trace(axis1=1, axis2=2)), blocks.sum(axis=0)])
+    vals = np.linalg.eigvalsh(np.concatenate([blocks, hermitianize(marginals)]))
+    s_s, s_r = entropy_of_spectrum(vals[2:]).tolist()
+    return s_s + s_r - entropy_of_spectrum(np.sort(vals[:2], axis=None))
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,9 @@ class CrossoverResult:
 
 def _locc_minus_cloning(theta: float) -> float:
     psi, phi = _branch_vectors(theta)
-    return _kw(_flagged_mixture(psi, phi), (2, 2)) - _cloned_info(psi, phi)
+    mat = _flagged_mixture(psi, phi)
+    rho_s = hermitianize(mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3))
+    return _kw(mat, (2, 2), entropy_of_spectrum(np.linalg.eigvalsh(rho_s))) - _cloned_info(psi, phi)
 
 
 def _false_position(lo: float, f_lo: float, hi: float, f_hi: float) -> float:

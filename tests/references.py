@@ -1,6 +1,6 @@
 """Reference implementations shared by several test modules. Each is
-built from np.kron and index sums alone, independent of the package code
-it checks."""
+built from numpy alone (np.kron, index sums, eigvalsh), independent of
+the package code it checks."""
 
 import numpy as np
 
@@ -36,3 +36,24 @@ def kron_flagged_mixture(a, b):
     """1/2 |0><0| x |a><a| + 1/2 |1><1| x |b><b| built with np.kron."""
     return (0.5 * np.kron(np.diag([1.0, 0.0]), np.outer(a, a.conj()))
             + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(b, b.conj())))
+
+
+def spectrum_bits(vals):
+    """Entropy in bits of a spectrum, in the arithmetic of
+    `linalg.entropy_of_spectrum`, so that the two compare with ==."""
+    logs = np.log(vals, out=np.zeros(vals.shape), where=vals > 1e-12)
+    return float(-(vals * logs).sum() / np.log(2.0))
+
+
+def four_by_four_cloned_info(alpha, beta):
+    """I(S:R1) of the flagged cloner outputs 1/2 |0><0| x |alpha><alpha| +
+    1/2 |1><1| x |beta><beta| over S x R1 x R2: rho^{S R1} as a 4x4
+    matrix with the blocks Tr_R2 |alpha><alpha| / 2 and Tr_R2 |beta><beta| / 2,
+    then one eigvalsh of it and one of each marginal's Hermitian part."""
+    v = np.array([alpha, beta]).reshape(2, 2, 1, 2)  # (output, R1, 1, R2)
+    red = np.zeros((4, 4), dtype=complex)
+    red[:2, :2], red[2:, 2:] = (0.5 * (v * v.conj().swapaxes(1, 2))).sum(axis=-1)
+    r = red.reshape(2, 2, 2, 2)
+    s_s, s_r = (spectrum_bits(np.linalg.eigvalsh((m + m.conj().T) / 2))
+                for m in (r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)))
+    return s_s + s_r - spectrum_bits(np.linalg.eigvalsh(red))

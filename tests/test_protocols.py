@@ -11,7 +11,7 @@ from discordlim.koashi_winter import (
     example_branches,
     example_state,
 )
-from references import brute_partial_trace, kron_flagged_mixture
+from references import brute_partial_trace, four_by_four_cloned_info, kron_flagged_mixture
 
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
 
@@ -203,6 +203,27 @@ class TestCloningRecipientInfo:
             rho = la.DensityMatrix(kron_flagged_mixture(out.alpha.vec, out.beta.vec), (2, 2, 2))
             want = corr.mutual_information(la.partial_trace(rho, [0, 1]))
             assert proto.cloning_recipient_info(theta) == want, theta
+
+    def test_equals_the_four_by_four_route_bit_for_bit(self):
+        # The stacked 2x2 eigensolve against rho^{S R1} as a 4x4 matrix with
+        # separate eigensolves, on golden-ratio angles and both endpoints.
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        for theta in (0.0, np.pi / 4, *np.pi / 4 * ((np.arange(1, 2001) * golden) % 1.0)):
+            out = proto.optimal_state_dependent_cloner(*example_branches(theta))
+            want = four_by_four_cloned_info(out.alpha.vec, out.beta.vec)
+            assert proto.cloning_recipient_info(theta) == want, theta
+
+    def test_block_diagonal_spectrum_is_the_union_of_the_block_spectra(self):
+        # What the stacked eigensolve rests on: eigvalsh of a block-diagonal
+        # 4x4 equals the sorted eigenvalues of its two 2x2 blocks, bit for bit.
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            g = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            blocks = la.hermitianize(g @ g.conj().swapaxes(1, 2))
+            full = np.zeros((4, 4), dtype=complex)
+            full[:2, :2], full[2:, 2:] = blocks
+            assert np.array_equal(np.linalg.eigvalsh(full),
+                                  np.sort(np.linalg.eigvalsh(blocks), axis=None))
 
     def test_angles_within_the_slack_are_the_endpoints(self):
         # Below 0 the unclamped branch overlap is negative, outside the
