@@ -27,8 +27,9 @@ the conditional entropies are >= 0, and a rank-1 projective measurement
 on a pure state leaves pure system branches, so every such measurement
 attains it: I^c = S(rho^S) (Henderson & Vedral, J. Phys. A 34, 6899
 (2001)). The optimizer takes a state as pure by numpy's `matrix_rank`
-rule on the spectrum the `DensityMatrix` keeps, and evaluates J once,
-along sigma_z.
+rule on the spectrum the `DensityMatrix` keeps, and reports the S(rho^S)
+it keeps, with the sigma_z measurement; it neither contracts nor
+searches the state.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ def _fibonacci_hemisphere(n: int) -> np.ndarray:
 
 
 _GRID = _fibonacci_hemisphere(GRID_POINTS)
-# The sigma_z direction, the one measurement a pure state is evaluated at.
-_Z = np.array([[0.0, 0.0, 1.0]])
 # A refinement starts at the grid spacing, the side of the hemisphere's
 # area shared out over the grid.
 _GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
@@ -479,8 +478,8 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
     but the largest is at most dim * eps times it in magnitude (numpy's
     `matrix_rank` default rule), every rank-1 projective measurement
     leaves pure branches and attains the bound J <= S(rho^S) that holds
-    for every measurement, so I^c is J of the sigma_z measurement, which
-    the report returns, in both modes.
+    for every measurement, so I^c is the S(rho^S) that `rho` keeps, and
+    the report returns the sigma_z measurement, in both modes.
 
     Otherwise the default searches two-outcome projective measurements:
     J on a GRID_POINTS Fibonacci hemisphere of directions, then a batched
@@ -502,10 +501,10 @@ def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> Correla
         raise ValueError("povm_outcomes must be 2 or 3")
 
     i_sa = mutual_information(rho)
-    j_at, j_of, bloch = _kernel(rho)
     if _is_pure(rho):
-        j_z = float(j_at(_Z)[0])
-        return CorrelationReport(i_sa, j_z, i_sa - j_z, _Z_POVM)
+        s_s = rho._marginals[0]
+        return CorrelationReport(i_sa, s_s, i_sa - s_s, _Z_POVM)
+    j_at, j_of, bloch = _kernel(rho)
     j_grid = j_at(_GRID)
     top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
     j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)

@@ -141,15 +141,15 @@ def cloning_recipient_info(theta: float) -> float:
 def _cloned_info(psi: np.ndarray, phi: np.ndarray) -> float:
     """`cloning_recipient_info` on raw branch vectors. rho^{S R1} is block
     diagonal in the system flag, with blocks Tr_R2 |alpha><alpha| / 2 and
-    Tr_R2 |beta><beta| / 2, so one `eigvalsh` of four 2x2 matrices gives
-    its spectrum, the sorted union of the blocks' spectra, and those of
-    rho^S, diagonal with the blocks' traces, and rho^R1, their sum."""
+    Tr_R2 |beta><beta| / 2, so one `eigvalsh` of three 2x2 matrices gives
+    its spectrum, the sorted union of the blocks' spectra, and that of
+    rho^R1, their sum. rho^S is diagonal, with the blocks' traces: its
+    spectrum is their sorted real parts, `eigvalsh`'s bits."""
     v = np.array(_clone(psi, phi)).reshape(2, 2, 1, 2)  # (output, R1, 1, R2)
     blocks = (0.5 * (v * v.conj().swapaxes(1, 2))).sum(axis=-1)
-    marginals = np.array([np.diag(blocks.trace(axis1=1, axis2=2)), blocks.sum(axis=0)])
-    vals = np.linalg.eigvalsh(np.concatenate([blocks, hermitianize(marginals)]))
-    s_s, s_r = entropy_of_spectrum(vals[2:]).tolist()
-    return s_s + s_r - entropy_of_spectrum(np.sort(vals[:2], axis=None))
+    vals = np.linalg.eigvalsh(np.concatenate([blocks, hermitianize(blocks.sum(axis=0))[None]]))
+    s_s = entropy_of_spectrum(np.sort(blocks.trace(axis1=1, axis2=2).real))
+    return s_s + entropy_of_spectrum(vals[2]) - entropy_of_spectrum(np.sort(vals[:2], axis=None))
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,9 @@ class CrossoverResult:
 def _locc_minus_cloning(theta: float) -> float:
     psi, phi = _branch_vectors(theta)
     mat = _flagged_mixture(psi, phi)
-    rho_s = hermitianize(mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3))
-    return _kw(mat, (2, 2), entropy_of_spectrum(np.linalg.eigvalsh(rho_s))) - _cloned_info(psi, phi)
+    # rho^S is diagonal, with the blocks' traces, as in `_cloned_info`.
+    s_s = entropy_of_spectrum(np.sort(mat.diagonal().real.reshape(2, 2).sum(axis=1)))
+    return _kw(mat, (2, 2), s_s) - _cloned_info(psi, phi)
 
 
 def _false_position(lo: float, f_lo: float, hi: float, f_hi: float) -> float:

@@ -279,9 +279,8 @@ def suite_proto_locc(seed: int, samples: int) -> SuiteResult:
         rho = _random_bipartite_dm(s)
         ic = corr.classical_correlation(rho).classical_info
         for j in range(10):
-            m = corr.qubit_projective_povm(
-                *np.random.default_rng(s + j).uniform([0, 0], [np.pi, 2 * np.pi])
-            )
+            # Rank-1 POVMs of 2, 3 and 4 outcomes; two outcomes are projective.
+            m = corr.random_povm(2 + j % 3, s + j)
             li = proto.locc_transfer_info(rho, m)
             res.check(abs(li - _flag_relay_info(rho, m)) < LOCC_EQUALS_J_TOL,
                       f"locc transfer != J, seed {s + j}")

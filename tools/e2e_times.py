@@ -6,15 +6,17 @@
 Each command runs in a fresh `python3` process with `PYTHONPATH` set to
 one tree's `src`, so every time includes interpreter start-up and the
 imports. The commands are the north star's end-to-end ones: `import
-discordlim`, `point`, `crossover`, `sweep --steps 200` and `verify
---samples 100`. Every command runs once per tree untimed first, which
-also writes the bytecode cache where the environment allows it; then the
-timed rounds alternate the trees, the parent first in even rounds and
-the change first in odd ones. The script prints, per command, the
-median and quartiles of each tree's wall times, the ratio of the medians
-(change / parent), and whether the two trees wrote the same bytes
-(stdout, and the sweep's CSV) in every run. A child that exits non-zero
-stops the script.
+discordlim`, `point`, `crossover`, `sweep --steps 200`, `verify
+--samples 100`, and the Tier-1 suite (`pytest -q -p no:cacheprovider`,
+run in the tree's root). Every command runs once per tree untimed first,
+which also writes the bytecode cache where the environment allows it;
+then the timed rounds alternate the trees, the parent first in even
+rounds and the change first in odd ones. The script prints, per command,
+the median and quartiles of each tree's wall times, the ratio of the
+medians (change / parent), and whether the two trees wrote the same
+bytes (stdout, and the sweep's CSV) in every run; for Tier-1, whose
+output carries timings and test counts, whether they exited with the
+same code. Any other child that exits non-zero stops the script.
 
 It changes nothing in either tree beyond Python's own bytecode cache.
 """
@@ -34,6 +36,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 CLI = [sys.executable, "-m", "discordlim"]
+TIER1 = "tier-1 pytest"
 # (name, argv); "{out}" is replaced by a per-run CSV path.
 COMMANDS = (
     ("import discordlim", [sys.executable, "-c", "import discordlim"]),
@@ -42,20 +45,24 @@ COMMANDS = (
     ("sweep --steps 200", CLI + ["sweep", "--theta-min", "0", "--theta-max", "0.25", "--in-pi",
                                  "--steps", "200", "--out", "{out}"]),
     ("verify --samples 100", CLI + ["verify", "--samples", "100"]),
+    (TIER1, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]),
 )
 
 
-def run_once(tree: Path, argv: list[str], out: Path) -> tuple[float, bytes]:
+def run_once(tree: Path, name: str, argv: list[str], out: Path) -> tuple[float, bytes]:
     """One fresh-process run of argv on `tree`: (wall seconds, the bytes
-    it wrote, stdout then the CSV if any)."""
+    it wrote, stdout then the CSV if any), or for Tier-1, run in the
+    tree's root, (wall seconds, its exit code as bytes)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     out.unlink(missing_ok=True)
     argv = [str(out) if a == "{out}" else a for a in argv]
     t0 = perf_counter()
-    proc = subprocess.run(argv, env=env, capture_output=True)
+    proc = subprocess.run(argv, env=env, capture_output=True, cwd=tree)
     wall = perf_counter() - t0
+    if name == TIER1:
+        return wall, str(proc.returncode).encode()
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} on {tree} exited {proc.returncode}: "
                  f"{proc.stderr.decode(errors='replace')[-500:]}")
@@ -72,14 +79,14 @@ def measure(trees: dict[str, Path], repeats: int) -> dict:
     same = {name: True for name, _ in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
-        for _, argv in COMMANDS:  # untimed warm-up
+        for name, argv in COMMANDS:  # untimed warm-up
             for side in SIDES:
-                run_once(trees[side], argv, out)
+                run_once(trees[side], name, argv, out)
         for k in range(repeats):
             for name, argv in COMMANDS:
                 written = {}
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    wall, written[side] = run_once(trees[side], argv, out)
+                    wall, written[side] = run_once(trees[side], name, argv, out)
                     times[name][side].append(wall)
                 same[name] &= written["parent"] == written["change"]
     rows = {}
