@@ -10,8 +10,7 @@ measurement searched, and a batch of them costs one eigenvalue pass:
 closed form for a qubit system, batched `eigvalsh` otherwise. The
 optimizer evaluates projective J (w = 1, m = +-n) on a Fibonacci
 hemisphere (J(n) = J(-n)) and refines the best cells together by a
-batched pattern search. An optional mode searches coplanar three-outcome
-rank-1 POVMs, closed forms of five angles, by the same pattern search.
+batched pattern search.
 
 For a qubit system each round of that search has one more candidate per
 start, the Riemannian Newton point of J. In the Bloch form of the state,
@@ -30,6 +29,10 @@ attains it: I^c = S(rho^S) (Henderson & Vedral, J. Phys. A 34, 6899
 rule on the spectrum the `DensityMatrix` keeps, and reports the S(rho^S)
 it keeps, with the sigma_z measurement; it neither contracts nor
 searches the state.
+
+The reported I^c is the maximum of J over projective measurements. For
+a qubit system at rank <= 2 it equals the Koashi-Winter optimum over
+every POVM; for a qutrit system it is a lower bound (`classical_correlation`).
 """
 
 from __future__ import annotations
@@ -67,12 +70,6 @@ GRID_POINTS = 256
 REFINE_STARTS = 5
 REFINE_STEP_TOL = 1e-8
 
-# Rounds of the three-outcome POVM search. Its chart is degenerate along
-# the projective POVMs it contains, where a start can creep for thousands
-# of rounds; 8 of 120 seeded Ginibre states (d_s 2 and 3, ranks 1, 2 and
-# full) reach this cap, at most 0.52 s a call on a shared 2-vCPU host.
-THREE_OUTCOME_MAXITER = 500
-
 # sigma_mu for mu = 0..3: the identity, then sigma_x, sigma_y, sigma_z.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -93,14 +90,12 @@ _GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
 # The 3x3 pattern about a point, less the point itself.
 _PATTERN = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
 _SIGNS = np.array([-1.0, 1.0])
-# The compass pattern of the three-outcome search: one chart coordinate
-# at a time, both ways.
-_COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """I, I^c, discord, and the measurement attaining the optimum."""
+    """I, I^c (the maximum of J over projective measurements), discord
+    I - I^c, and the measurement attaining I^c."""
 
     mutual_info: float
     classical_info: float
@@ -174,17 +169,14 @@ def _j_values(mats: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kernel(rho: DensityMatrix):
-    """J of rank-1 measurements from one contraction X = (rho^S, M_x, M_y,
-    M_z) of the state: (j_at, j_of, bloch).
+    """J of projective measurements from one contraction X = (rho^S, M_x,
+    M_y, M_z) of the state: (j_at, bloch).
 
     j_at(n) is J along each unit row of n, (N, 3): branches
-    rho^S / 2 +- n.M / 2. j_of(w, m) is J of N rank-1 POVMs, weights
-    (N, k) and Bloch vectors (N, k, 3): branches w_i (rho^S + m_i.M) / 2.
-    j_at(n) is j_of(1, +-n) bit for bit, in the cheaper +- form. bloch,
-    for a qubit system (else None), is (c, L^T): c = C[:, 0] / 2 and
-    L = C[:, 1:] / 2 of C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho]
-    = Tr[sigma_mu X_nu]; the branch B+- = (p 1 + v.sigma) / 2 of
-    direction n has (p, v) = c +- L n."""
+    rho^S / 2 +- n.M / 2. bloch, for a qubit system (else None), is
+    (c, L^T): c = C[:, 0] / 2 and L = C[:, 1:] / 2 of C[mu, nu] =
+    Tr[(sigma_mu x sigma_nu) rho] = Tr[sigma_mu X_nu]; the branch
+    B+- = (p 1 + v.sigma) / 2 of direction n has (p, v) = c +- L n."""
     d = rho.dims[0]
     x = hermitianize(_branch_states(rho, _PAULI))
     half_s = x[0] / 2
@@ -198,14 +190,10 @@ def _kernel(rho: DensityMatrix):
         np.subtract(half_s, nm, out=mats[2::2])
         return _j_values(mats, 2)
 
-    def j_of(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        branches = w.reshape(-1, 1) * (half_s.ravel() + m.reshape(-1, 3) @ half_m)
-        return _j_values(np.concatenate([x[:1], branches.reshape(-1, d, d)]), w.shape[1])
-
     if d != 2:
-        return j_at, j_of, None
+        return j_at, None
     coef = np.einsum("mij,nji->mn", _PAULI, x).real
-    return j_at, j_of, (coef[:, 0] / 2, coef[:, 1:].T / 2)
+    return j_at, (coef[:, 0] / 2, coef[:, 1:].T / 2)
 
 
 def _chart_derivatives(bloch, starts: np.ndarray, tangent: np.ndarray):
@@ -304,16 +292,15 @@ def _newton_moves(derivs, x: np.ndarray, live: np.ndarray):
 
 
 def _pattern_search(evaluate, x: np.ndarray, j: np.ndarray, step: np.ndarray,
-                    pattern: np.ndarray, propose=None, max_rounds=np.inf):
+                    pattern: np.ndarray, propose=None):
     """Pattern search of J from every start at once; returns the final
     (x, J) of every start.
 
     Each round scores, in one `evaluate` call ((s, m, dim) chart points to
-    (s, m) J values, -inf off the measurements), x + step * p for every
-    row p of `pattern` about every start's point x. A start moves to its
-    best point when that strictly raises J, and else halves its step; the
-    search ends once every step is at most REFINE_STEP_TOL, or after
-    `max_rounds` rounds.
+    (s, m) J values), x + step * p for every row p of `pattern` about
+    every start's point x. A start moves to its best point when that
+    strictly raises J, and else halves its step; the search ends once
+    every step is at most REFINE_STEP_TOL.
 
     propose(x), if given, adds every start's candidate move to the round
     as (moves, their lengths, which are usable), or returns None once it
@@ -322,8 +309,7 @@ def _pattern_search(evaluate, x: np.ndarray, j: np.ndarray, step: np.ndarray,
     no candidate raises its J and its move is at most REFINE_STEP_TOL.
     """
     rows = np.arange(len(x))
-    while step.max() > REFINE_STEP_TOL and max_rounds > 0:
-        max_rounds -= 1
+    while step.max() > REFINE_STEP_TOL:
         trial = x[:, None, :] + step[:, None, None] * pattern
         proposal = None if propose is None else propose(x)
         if proposal is None:
@@ -410,58 +396,6 @@ def random_povm(n_outcomes: int, seed: int) -> Povm:
     return Povm(tuple(np.outer(r.conj(), r) for r in w))
 
 
-def _coplanar_povms(x: np.ndarray, frames: np.ndarray):
-    """Weights (s, m, 3) and Bloch vectors (s, m, 3, 3) of coplanar rank-1
-    POVMs at chart points x, (s, m, 5), and which points are POVMs. On the
-    chart of frame (n, e_1, e_2), x = (u_1, u_2, c, d_1, d_2) turns the
-    frame by |u| about n x (u_1 e_1 + u_2 e_2): the sphere's exponential
-    map, singular only 180 degrees from n, and every plane has a normal
-    within 90. The Bloch vectors m_i lie at angles a = (c, c + d_1, c + d_2)
-    from the turned e_1. Weights w_i = 2 s_i / sum s, s_i = sin(a_k - a_j)
-    over the cyclic (i, j, k), give sum w_i m_i = 0, so E_i =
-    w_i (1 + m_i.sigma) / 2 sum to the identity. A point with a weight not
-    >= 0 (NaN included) is no POVM, and its weights are zero."""
-    u = x[..., :2]
-    r = np.hypot(u[..., :1], u[..., 1:])
-    shift = (-np.sinc(r / (2 * np.pi)) ** 2 / 2 * (u @ frames[:, 1:])
-             - np.sinc(r / np.pi) * frames[:, None, 0])
-    f1 = frames[:, None, 1] + u[..., :1] * shift
-    f2 = frames[:, None, 2] + u[..., 1:] * shift
-    a = x[..., 2:] + np.array([0.0, 1.0, 1.0]) * x[..., 2:3]
-    m = np.cos(a)[..., None] * f1[..., None, :] + np.sin(a)[..., None] * f2[..., None, :]
-    s = np.sin(np.roll(a, -2, axis=-1) - np.roll(a, -1, axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 2 * s / s.sum(axis=-1, keepdims=True)
-    ok = (w >= 0).all(axis=-1)
-    w[~ok] = 0
-    return w, m, ok
-
-
-def _refine_three_outcome(j_of, proj_theta: float, proj_phi: float) -> tuple[float, Povm]:
-    """`_pattern_search` of J (`_kernel`'s j_of) over coplanar three-outcome
-    rank-1 POVMs from trines in three planes; returns the best J and POVM."""
-    st, ct, sf, cf = np.sin(proj_theta), np.cos(proj_theta), np.sin(proj_phi), np.cos(proj_phi)
-    # Frames (n, e_1, e_2) of two starts each: the plane through the
-    # projective axis (e_1 = -axis), and the planes normal to x and to y.
-    frames = np.repeat([[(ct * cf, ct * sf, -st), (-st * cf, -st * sf, -ct), (-sf, cf, 0.0)],
-                        [(1.0, 0, 0), (0, 0, -1), (0, 1, 0)],
-                        [(0.0, 1, 0), (0, 0, -1), (-1, 0, 0)]], 2, axis=0)
-    starts = np.array(3 * [(0.0, 0.0, 0.0, 2 * np.pi / 3, 4 * np.pi / 3),
-                           (0.0, 0.0, np.pi / 6, 2 * np.pi / 3, 4 * np.pi / 3)])
-
-    def evaluate(trial):
-        w, m, ok = _coplanar_povms(trial, frames)
-        return np.where(ok, j_of(w.reshape(-1, 3), m).reshape(ok.shape), -np.inf)
-
-    x, j = _pattern_search(evaluate, starts, evaluate(starts[:, None])[:, 0],
-                           np.full(len(starts), _GRID_SPACING), _COMPASS,
-                           max_rounds=THREE_OUTCOME_MAXITER)
-    k = np.argmax(j)
-    w, m, _ = _coplanar_povms(x[None, None, k], frames[None, k])
-    elements = w[0, 0, :, None, None] / 2 * (np.eye(2) + np.tensordot(m[0, 0], _PAULI[1:], 1))
-    return float(j[k]), Povm(tuple(elements))
-
-
 def _is_pure(rho: DensityMatrix) -> bool:
     """Rank 1 by numpy's `matrix_rank` default rule, on the spectrum `rho`
     keeps: every eigenvalue but the largest is at most dim * eps times it
@@ -471,48 +405,34 @@ def _is_pure(rho: DensityMatrix) -> bool:
     return max(vals[-2], -vals[0]) <= rho.dim * _EPS * vals[-1]
 
 
-def classical_correlation(rho: DensityMatrix, povm_outcomes: int = 2) -> CorrelationReport:
-    """Maximize J over measurements on a qubit apparatus.
+def classical_correlation(rho: DensityMatrix) -> CorrelationReport:
+    """Maximize J over projective measurements on a qubit apparatus.
 
-    A pure state is certified, not searched: when every eigenvalue of rho
-    but the largest is at most dim * eps times it in magnitude (numpy's
-    `matrix_rank` default rule), every rank-1 projective measurement
-    leaves pure branches and attains the bound J <= S(rho^S) that holds
-    for every measurement, so I^c is the S(rho^S) that `rho` keeps, and
-    the report returns the sigma_z measurement, in both modes.
+    A pure state (`_is_pure`) is certified, not searched: I^c is the
+    S(rho^S) that `rho` keeps, attained by the sigma_z measurement the
+    report returns. Otherwise J is evaluated on a GRID_POINTS Fibonacci
+    hemisphere of directions, and a batched pattern search refines the
+    best REFINE_STARTS cells to a step of REFINE_STEP_TOL rad, all through
+    one batched J kernel; for a qubit system each round also tries every
+    start's Newton point of J. Deterministic for fixed input.
 
-    Otherwise the default searches two-outcome projective measurements:
-    J on a GRID_POINTS Fibonacci hemisphere of directions, then a batched
-    pattern search from the best REFINE_STARTS cells down to a step of
-    REFINE_STEP_TOL rad, all through one batched J kernel. For a qubit
-    system every round also tries each start's Newton point of J, from
-    closed-form derivatives in the state's Bloch form; a larger system
-    has no such closed form (its derivatives need the branch
-    eigenvectors), so its search is the pattern search alone.
-    povm_outcomes=3 additionally searches coplanar three-outcome rank-1
-    POVMs by the same pattern search, from six trines in three planes for
-    at most THREE_OUTCOME_MAXITER rounds, and keeps the result where its J
-    is higher. Deterministic for fixed input and configuration.
+    For a qubit system at rank <= 2 the result is the Koashi-Winter
+    optimum over every POVM. For a qutrit system it is a lower bound:
+    about one state in eight has a better POVM, by up to 1.34e-2 bits,
+    and its discord reads high by as much.
     """
     _expect(rho, "rho", DensityMatrix)
     if _bipartite_dims(rho.dims)[1] != 2:
         raise ValueError("measurement optimizer requires a qubit apparatus")
-    if _as_dims((povm_outcomes,), "povm_outcomes") not in ((2,), (3,)):
-        raise ValueError("povm_outcomes must be 2 or 3")
 
     i_sa = mutual_information(rho)
     if _is_pure(rho):
         s_s = rho._marginals[0]
         return CorrelationReport(i_sa, s_s, i_sa - s_s, _Z_POVM)
-    j_at, j_of, bloch = _kernel(rho)
+    j_at, bloch = _kernel(rho)
     j_grid = j_at(_GRID)
     top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
     j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
-    t_best = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    f_best = float(np.arctan2(n[1], n[0]))
-    measurement = qubit_projective_povm(t_best, f_best)
-    if povm_outcomes == 3:
-        j3, povm3 = _refine_three_outcome(j_of, t_best, f_best)
-        if j3 > j_best:
-            j_best, measurement = j3, povm3
+    measurement = qubit_projective_povm(float(np.arccos(np.clip(n[2], -1.0, 1.0))),
+                                        float(np.arctan2(n[1], n[0])))
     return CorrelationReport(i_sa, j_best, i_sa - j_best, measurement)

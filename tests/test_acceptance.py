@@ -72,7 +72,8 @@ def test_4_loss_without_entanglement():
 
 
 def test_5_pure_state_gap(run_suite):
-    # 100 pure states: discord = S(rho^S) and I = 2 S(rho^S) within PURE_GAP_TOL.
+    # 100 pure states: discord = S(rho^S), and J of the reported measurement
+    # = I^c, each within PURE_GAP_TOL.
     res = run_suite(verify.suite_corr_pure_gap, seed=11, samples=1000, checks=200)
     report("5 pure-state gap", f"{res.name}: {res.checks} checks")
 

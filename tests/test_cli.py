@@ -138,6 +138,23 @@ POINT_OFF_PI_OVER_8 = {
 # sha256 of the figure's CSV, `sweep --theta-min 0 --theta-max 0.25 --in-pi
 # --steps 200`.
 SWEEP_200_SHA256 = "6541a6cb4390ce78671297ded962e487aea22219bc3009223cb67fe88eddeff9"
+# `verify` at its defaults, --seed 7 --samples 100.
+VERIFY_DEFAULT = """\
+pass  linalg.partial_trace_matches_lifted_observables_and_product_factors  (400 checks, 0 failures)
+pass  linalg.entropy_additivity_and_unitary_invariance  (200 checks, 0 failures)
+pass  linalg.purify_roundtrip_and_spectra  (200 checks, 0 failures)
+pass  correlations.sampled_povm_chain_0_J_Ic_I  (120 checks, 0 failures)
+pass  correlations.cq_states_have_zero_discord  (10 checks, 0 failures)
+pass  correlations.local_unitary_invariance  (20 checks, 0 failures)
+pass  correlations.pure_state_factor_two_gap  (20 checks, 0 failures)
+pass  koashi_winter.dual_route_agreement_and_monotonicity  (103 checks, 0 failures)
+pass  koashi_winter.concurrence_invariance_and_pure_ef  (300 checks, 0 failures)
+pass  protocols.measure_and_prepare_outputs_are_ppt  (100 checks, 0 failures)
+pass  protocols.locc_transfer_matches_J_and_respects_Ic  (100 checks, 0 failures)
+pass  protocols.cloner_matches_brute_force_scan  (202 checks, 0 failures)
+pass  protocols.broadcast_sum_and_average_bounds  (250 checks, 0 failures)
+ok: 13 suites, 2025 checks, seed 7
+"""
 
 
 class TestGoldenOutput:
@@ -151,6 +168,9 @@ class TestGoldenOutput:
     def test_sweep_csv(self):
         text = format_csv(sweep_rows(0.0, np.pi / 4, 200))
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_200_SHA256
+
+    def test_verify(self, capsys):
+        assert run_cli(capsys, "verify") == (0, VERIFY_DEFAULT, "")
 
 
 class TestSweep:

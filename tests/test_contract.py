@@ -130,10 +130,6 @@ ROWS = [
     ("random_povm", "non-integral", (2.5, 0), "n_outcomes must be positive integers"),
     ("classical_correlation", "qutrit-apparatus", (QUBIT_QUTRIT,),
      "measurement optimizer requires a qubit apparatus"),
-    *[("classical_correlation", f"outcomes-{n}", (BELL, n), "povm_outcomes must be 2 or 3")
-      for n in (1, 4)],
-    ("classical_correlation", "outcomes-2.0", (BELL, 2.0),
-     "povm_outcomes must be positive integers"),
     *[("example_state", f"{theta}", (theta,), THETA) for theta in (-0.1, np.pi / 2, np.nan)],
     *[("example_branches", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan)],
     *[("cloning_recipient_info", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan)],

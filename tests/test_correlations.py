@@ -51,7 +51,7 @@ def post_measurement_ensemble(rho, m):
 def full_search(rho):
     """I^c of the projective grid and refinement, the search a pure state
     skips, run on the private kernel."""
-    j_at, _, bloch = corr._kernel(rho)
+    j_at, bloch = corr._kernel(rho)
     j_grid = j_at(corr._GRID)
     top = np.argsort(-j_grid, kind="stable")[:corr.REFINE_STARTS]
     return corr._refine(j_at, corr._GRID[top], j_grid[top], bloch)[0]
@@ -242,49 +242,22 @@ class TestClassicalCorrelation:
 
     def test_determinism(self):
         rho = random_two_qubit_state(42)
-        for povm_outcomes in (2, 3):
-            r1 = corr.classical_correlation(rho, povm_outcomes)
-            r2 = corr.classical_correlation(rho, povm_outcomes)
-            assert r1.classical_info == r2.classical_info
-            assert r1.discord == r2.discord
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(r1.measurement.elements, r2.measurement.elements))
+        r1 = corr.classical_correlation(rho)
+        r2 = corr.classical_correlation(rho)
+        assert r1.classical_info == r2.classical_info
+        assert r1.discord == r2.discord
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(r1.measurement.elements, r2.measurement.elements))
 
-    def test_three_outcome_mode_matches_projective_on_example_family(self):
-        for theta in (0.0, np.pi / 8, np.pi / 5):
-            rho = example_state(min(theta, np.pi / 4))
-            r2 = corr.classical_correlation(rho, povm_outcomes=2)
-            r3 = corr.classical_correlation(rho, povm_outcomes=3)
-            assert r3.classical_info >= r2.classical_info - 1e-8
-            assert r3.classical_info == pytest.approx(r2.classical_info, abs=1e-6)
-
-    def test_three_outcome_mode_beats_projective_on_a_qutrit_system(self):
-        # For a qutrit system projective measurements are not sufficient:
-        # on this full-rank state three outcomes gain 0.01754 bits over the
-        # projective optimum (0.270457 -> 0.287997); 20 000 sampled
-        # projective directions stay below 0.270447.
+    def test_sampled_povms_beat_it_on_a_qutrit_system(self):
+        # The reported I^c maximizes J over projective measurements only.
+        # For a qutrit system that is a lower bound: on this full-rank state
+        # the best of 3000 sampled three-outcome POVMs reaches 0.28556 bits
+        # against the projective 0.27046 (a coplanar search found 0.287997).
         rho = la.DensityMatrix(la.random_density_matrix(6, 1027, rank=6), (3, 2))
-        r2 = corr.classical_correlation(rho)
-        r3 = corr.classical_correlation(rho, povm_outcomes=3)
-        assert r3.classical_info - r2.classical_info > 1e-2
-        m = r3.measurement
-        assert corr.accessible_information(rho, m) == pytest.approx(r3.classical_info, abs=1e-12)
-        assert len(m.elements) == 3
-        assert np.max(np.abs(sum(m.elements) - np.eye(2))) <= la.POVM_SUM_TOL
-        assert min(np.linalg.eigvalsh(e)[0] for e in m.elements) >= -la.PSD_TOL
-
-    @pytest.mark.parametrize("seed, rank", [(7350, 4), (3332, 3)])
-    def test_three_outcome_mode_reaches_the_sampled_optimum(self, seed, rank):
-        # On these qutrit-system states a search that stalls returns the
-        # projective value; the coplanar optimum is 0.396679 -> 0.405451
-        # (seed 7350) and 0.485589 -> 0.498483 bits (seed 3332).
-        rho = la.DensityMatrix(la.random_density_matrix(6, seed, rank=rank), (3, 2))
-        r2 = corr.classical_correlation(rho)
-        r3 = corr.classical_correlation(rho, povm_outcomes=3)
-        assert r3.classical_info - r2.classical_info > 8e-3
         sampled = max(corr.accessible_information(rho, corr.random_povm(3, 50000 + k))
                       for k in range(3000))
-        assert sampled <= r3.classical_info + verify.CHAIN_TOL
+        assert sampled - corr.classical_correlation(rho).classical_info > 1e-2
 
 
 class TestPureStateCertificate:
@@ -313,18 +286,15 @@ class TestPureStateCertificate:
         for rho in pure_states:
             assert corr.classical_correlation(rho).classical_info == rho._marginals[0]
 
-    def test_searches_nothing_in_either_mode(self, pure_states, monkeypatch):
+    def test_searches_nothing(self, pure_states, monkeypatch):
         def searched(*_):
             raise AssertionError("a pure state was contracted or searched")
 
         monkeypatch.setattr(corr, "_kernel", searched)
         monkeypatch.setattr(corr, "_refine", searched)
-        monkeypatch.setattr(corr, "_refine_three_outcome", searched)
         for rho in pure_states:
-            r2 = corr.classical_correlation(rho)
-            r3 = corr.classical_correlation(rho, povm_outcomes=3)
-            assert r3.classical_info == r2.classical_info
-            assert all(np.array_equal(e, f) for e, f in zip(r2.measurement.elements,
+            rep = corr.classical_correlation(rho)
+            assert all(np.array_equal(e, f) for e, f in zip(rep.measurement.elements,
                                                             BASIS_POVM.elements))
 
     @pytest.mark.parametrize("d_s", [2, 3])

@@ -43,7 +43,7 @@ BUDGETS = {
     # I^c (a searched qutrit state takes ~30); the sigma_z measurement it
     # reports is built once, at import.
     "classical_correlation_pure": (dl.classical_correlation, (PURE,), 1),
-    "classical_correlation_pure_qutrit": (dl.classical_correlation, (PURE_QUTRIT, 3), 2),
+    "classical_correlation_pure_qutrit": (dl.classical_correlation, (PURE_QUTRIT,), 2),
     # The purification and the marginals' stacked eigensolve.
     "classical_correlation_kw": (dl.classical_correlation_kw, (RHO,), 2),
     "cloning_recipient_info": (dl.cloning_recipient_info, (np.pi / 8,), 1),
@@ -116,16 +116,15 @@ def test_density_matrix_validates_with_one_eigensolve(eig_calls):
         dl.DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
 
-@pytest.mark.parametrize("povm_outcomes", (2, 3))
-def test_optimizer_reads_the_state_once(monkeypatch, povm_outcomes):
-    # One branch contraction of the state serves the projective batches,
-    # the Newton step's Bloch form and the three-outcome search.
+def test_optimizer_reads_the_state_once(monkeypatch):
+    # One branch contraction of the state serves the projective batches
+    # and the Newton step's Bloch form.
     calls = []
     contract = corr._branch_states
     monkeypatch.setattr(corr, "_branch_states", lambda *a: calls.append(a) or contract(*a))
     for rho in (RHO, dl.DensityMatrix(dl.random_density_matrix(6, 1027), (3, 2))):
         calls.clear()
-        dl.classical_correlation(rho, povm_outcomes)
+        dl.classical_correlation(rho)
         assert len(calls) == 1
 
 

@@ -81,15 +81,6 @@ class TestKernel:
                for n in dirs]
         assert np.max(np.abs(np.array(got) - corr._kernel(rho)[0](dirs))) <= 1e-13
 
-    @pytest.mark.parametrize("d_s,rank", CLASSES)
-    def test_projective_batch_is_the_rank_one_kernel_bit_for_bit(self, d_s, rank):
-        # j_at(n) is j_of at weights 1 and Bloch vectors +-n.
-        rho = random_state(d_s, rank, 13 * d_s + rank)
-        j_at, j_of, _ = corr._kernel(rho)
-        for dirs in (corr._GRID, unit_vectors(2000, 4)):
-            got = j_of(np.ones((len(dirs), 2)), np.stack([dirs, -dirs], axis=1))
-            assert np.array_equal(j_at(dirs), got)
-
     def test_bloch_form_is_the_pauli_expectations(self):
         # C[mu, nu] = Tr[(sigma_mu x sigma_nu) rho], read off the kernel's
         # one contraction: exact on the sweep rows, rounding elsewhere.
@@ -99,11 +90,11 @@ class TestKernel:
 
         for theta in SWEEP:
             rho = example_state(theta)
-            got, want = corr._kernel(rho)[2], oracle(rho)
+            got, want = corr._kernel(rho)[1], oracle(rho)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         for seed in range(40):
             rho = random_state(2, 1 + seed % 4, 600 + seed)
-            got, want = corr._kernel(rho)[2], oracle(rho)
+            got, want = corr._kernel(rho)[1], oracle(rho)
             assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-15
 
 
@@ -131,13 +122,12 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("d_s,rank", CLASSES)
     def test_reported_measurement_attains_ic(self, d_s, rank):
-        # Each search reports its own J; the validated POVM it returns gives
+        # The search reports its own J; the validated POVM it returns gives
         # the same value through accessible_information.
         rho = random_state(d_s, rank, 500 + 10 * d_s + rank)
-        for povm_outcomes in (2, 3):
-            rep = corr.classical_correlation(rho, povm_outcomes)
-            assert corr.accessible_information(rho, rep.measurement) == pytest.approx(
-                rep.classical_info, abs=1e-12)
+        rep = corr.classical_correlation(rho)
+        assert corr.accessible_information(rho, rep.measurement) == pytest.approx(
+            rep.classical_info, abs=1e-12)
 
     @pytest.mark.parametrize("d_s", (2, 3))
     def test_deterministic_including_measurement(self, d_s):
@@ -155,7 +145,7 @@ def test_optimizer_does_not_import_scipy_optimize():
             "import discordlim as dl\n"
             "rho = dl.DensityMatrix(dl.random_density_matrix(6, 1027), (3, 2))\n"
             "dl.classical_correlation(dl.example_state(0.3))\n"
-            "dl.classical_correlation(rho, povm_outcomes=3)\n"
+            "dl.classical_correlation(rho)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(discordlim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

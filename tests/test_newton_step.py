@@ -47,7 +47,7 @@ def test_derivatives_match_finite_differences(rho):
     n0 = rng.standard_normal((6, 3))
     n0 /= np.linalg.norm(n0, axis=1, keepdims=True)
     tangent = charts(n0)
-    derivs = corr._chart_derivatives(corr._kernel(rho)[2], n0, tangent)
+    derivs = corr._chart_derivatives(corr._kernel(rho)[1], n0, tangent)
     f = chart_j(rho, n0, tangent)
     steps = np.eye(2)
 
@@ -73,7 +73,7 @@ def test_derivatives_match_finite_differences(rho):
 
 def test_no_bloch_form_beyond_a_qubit_system():
     rho = la.DensityMatrix(la.random_density_matrix(6, 5, 6), (3, 2))
-    assert corr._kernel(rho)[2] is None
+    assert corr._kernel(rho)[1] is None
 
 
 def test_no_newton_candidate_at_pure_branches():
@@ -81,7 +81,7 @@ def test_no_newton_candidate_at_pure_branches():
     # proposes a Newton point, and the refinement is the pattern search.
     rho = la.DensityMatrix(la.random_density_matrix(4, 8, 1), (2, 2))
     n0 = np.array([[0.0, 0.6, 0.8], [0.6, 0.0, 0.8]])
-    derivs = corr._chart_derivatives(corr._kernel(rho)[2], n0, charts(n0))
+    derivs = corr._chart_derivatives(corr._kernel(rho)[1], n0, charts(n0))
     assert derivs(np.zeros((2, 2))) is None
     assert corr._newton_moves(derivs, np.zeros((2, 2)), np.ones(2, dtype=bool)) is None
 
@@ -94,13 +94,13 @@ def kernel_calls(monkeypatch):
     kernel = corr._kernel
 
     def counted(rho):
-        j_at, j_of, bloch = kernel(rho)
+        j_at, bloch = kernel(rho)
 
         def wrapper(directions):
             count[0] += 1
             return j_at(directions)
 
-        return wrapper, j_of, bloch
+        return wrapper, bloch
 
     monkeypatch.setattr(corr, "_kernel", counted)
 
