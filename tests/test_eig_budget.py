@@ -116,16 +116,16 @@ def test_density_matrix_validates_with_one_eigensolve(eig_calls):
         dl.DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
 
-def test_optimizer_reads_the_state_once(monkeypatch):
+@pytest.mark.parametrize("d_system", (2, 3))
+def test_optimizer_reads_the_state_once(monkeypatch, d_system):
     # One branch contraction of the state serves the projective batches
-    # and the Newton step's Bloch form.
+    # and, for a qubit system, the Newton step's Bloch form.
+    rho = RHO if d_system == 2 else dl.DensityMatrix(dl.random_density_matrix(6, 1027), (3, 2))
     calls = []
     contract = corr._branch_states
     monkeypatch.setattr(corr, "_branch_states", lambda *a: calls.append(a) or contract(*a))
-    for rho in (RHO, dl.DensityMatrix(dl.random_density_matrix(6, 1027), (3, 2))):
-        calls.clear()
-        dl.classical_correlation(rho)
-        assert len(calls) == 1
+    dl.classical_correlation(rho)
+    assert len(calls) == 1
 
 
 # Most eigensolver calls in one op of each kind of the benchmark's
