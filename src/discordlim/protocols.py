@@ -59,6 +59,8 @@ class PreparedEnsembleChannel:
             _expect(sigma, "prepared state", DensityMatrix)
         if len(self.measurement.elements) != len(self.prepared):
             raise ValueError("one prepared state per measurement outcome required")
+        if len({sigma.dim for sigma in self.prepared}) > 1:
+            raise ValueError("prepared states must share one dimension")
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,6 @@ def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> Dens
     _expect(rho, "rho", DensityMatrix)
     _expect(ch, "ch", PreparedEnsembleChannel)
     d_r = ch.prepared[0].dim
-    if any(sigma.dim != d_r for sigma in ch.prepared):
-        raise ValueError("prepared states must share one dimension")
     branches = _branch_states(rho, ch.measurement.elements)
     sigmas = np.array([sigma.mat for sigma in ch.prepared])
     d = rho.dims[0] * d_r

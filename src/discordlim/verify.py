@@ -33,11 +33,11 @@ TRACE_PRESERVE_TOL = 1e-10
 ENTROPY_TOL = 1e-9
 # Purify then reduce: two eigendecompositions and an outer product per state.
 ROUNDTRIP_TOL = 1e-9
-# Eigenvalues of a random state lie in [0, 1] up to the PSD_TOL a DensityMatrix allows ...
-SPECTRUM_EDGE_TOL = 1e-10
-# ... and sum to its trace, 1 up to eigensolver rounding.
+# Eigenvalues of a random state lie in [0, 1] up to la.PSD_TOL, which a DensityMatrix
+# allows, and sum to its trace: 1 up to eigensolver rounding.
 SPECTRUM_SUM_TOL = 1e-9
-# 0 <= J <= I^c <= I: J is flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
+# 0 <= J <= I^c <= I, and a measure-and-prepare relay's I(S:R) <= I^c: J is
+# flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
 CHAIN_TOL = 1e-8
 # A CQ state's optimum is a basis measurement. Over seeds 0-19 (100 states
 # per suite) this and the next two checks erred below 2e-15, 4e-15 and 3e-15.
@@ -83,8 +83,18 @@ class SuiteResult:
             self.failures.append(detail)
 
 
-def _random_bipartite_dm(seed: int, d_s: int = 2, d_a: int = 2) -> la.DensityMatrix:
-    return la.DensityMatrix(la.random_density_matrix(d_s * d_a, seed), (d_s, d_a))
+def _random_bipartite_dm(seed: int) -> la.DensityMatrix:
+    return la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
+
+
+def _random_pure_pair(seed: int) -> la.StateVector:
+    return la.StateVector(la.random_pure_state(4, seed).vec, (2, 2))
+
+
+def _locally_rotated(seed: int, *mats: np.ndarray) -> list[la.DensityMatrix]:
+    """u mat u^dagger of each mat, for the local unitary u_1 x u_2 (seeds seed + 1, seed + 2)."""
+    u = np.kron(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
+    return [la.DensityMatrix(la.hermitianize(u @ mat @ u.conj().T), (2, 2)) for mat in mats]
 
 
 def suite_linalg_partial_trace(seed: int, samples: int) -> SuiteResult:
@@ -133,7 +143,7 @@ def suite_linalg_purify(seed: int, samples: int) -> SuiteResult:
         res.check(np.max(np.abs(back.mat - rho.mat)) < ROUNDTRIP_TOL,
                   f"purify roundtrip failed, seed {s}")
         vals = np.linalg.eigvalsh(rho.mat)
-        res.check(vals[0] >= -SPECTRUM_EDGE_TOL and vals[-1] <= 1 + SPECTRUM_EDGE_TOL
+        res.check(vals[0] >= -la.PSD_TOL and vals[-1] <= 1 + la.PSD_TOL
                   and abs(vals.sum() - 1) < SPECTRUM_SUM_TOL,
                   f"spectrum out of range, seed {s}")
     return res
@@ -179,10 +189,8 @@ def suite_corr_local_unitary(seed: int, samples: int) -> SuiteResult:
     for k in range(max(1, samples // 10)):
         s = seed * 6000 + k
         rho = _random_bipartite_dm(s)
-        u = np.kron(la.random_unitary(2, s + 1), la.random_unitary(2, s + 2))
-        rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
         r1 = corr.classical_correlation(rho)
-        r2 = corr.classical_correlation(rot)
+        r2 = corr.classical_correlation(_locally_rotated(s, rho.mat)[0])
         res.check(abs(r1.classical_info - r2.classical_info) < LOCAL_UNITARY_TOL,
                   f"Ic not locally unitary invariant, seed {s}")
         res.check(abs(r1.discord - r2.discord) < LOCAL_UNITARY_TOL,
@@ -194,8 +202,7 @@ def suite_corr_pure_gap(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("correlations.pure_state_factor_two_gap")
     for k in range(max(1, samples // 10)):
         s = seed * 7000 + k
-        psi = la.random_pure_state(4, s)
-        rho = la.DensityMatrix(psi.to_density().mat, (2, 2))
+        rho = _random_pure_pair(s).to_density()
         rep = corr.classical_correlation(rho)
         s_s = la.von_neumann_entropy(la.partial_trace(rho, [0]))
         res.check(abs(rep.discord - s_s) < PURE_GAP_TOL, f"discord != S(rho^S), seed {s}")
@@ -230,64 +237,50 @@ def suite_kw_concurrence(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("koashi_winter.concurrence_invariance_and_pure_ef")
     for k in range(samples):
         s = seed * 8000 + k
-        rho = la.DensityMatrix(la.random_density_matrix(4, s), (2, 2))
-        u = np.kron(la.random_unitary(2, s + 1), la.random_unitary(2, s + 2))
-        rot = la.DensityMatrix(la.hermitianize(u @ rho.mat @ u.conj().T), (2, 2))
-        res.check(abs(kw.concurrence(rho) - kw.concurrence(rot)) < CONCURRENCE_TOL,
-                  f"concurrence not invariant, seed {s}")
-        psi = la.random_pure_state(4, s + 3)
-        pure = la.DensityMatrix(psi.to_density().mat, (2, 2))
-        ef = kw.entanglement_of_formation(pure)
-        s_red = la.von_neumann_entropy(la.partial_trace(pure, [0]))
-        res.check(abs(ef - s_red) < CONCURRENCE_TOL, f"EF of pure state wrong, seed {s}")
+        rho = _random_bipartite_dm(s)
         # A locally rotated Werner state p |Psi-><Psi-| + (1 - p) 1/4 has
         # C = max(0, (3p - 1) / 2): a mixed-state value, which invariance
         # and pure states alone do not pin down.
         p = np.random.default_rng(s).random()
         werner = p * np.outer(_SINGLET, _SINGLET) + (1 - p) * np.eye(4) / 4
-        rot = la.DensityMatrix(la.hermitianize(u @ werner @ u.conj().T), (2, 2))
-        res.check(abs(kw.concurrence(rot) - max(0.0, (3 * p - 1) / 2)) < CONCURRENCE_TOL,
+        rot, rot_werner = _locally_rotated(s, rho.mat, werner)
+        res.check(abs(kw.concurrence(rho) - kw.concurrence(rot)) < CONCURRENCE_TOL,
+                  f"concurrence not invariant, seed {s}")
+        pure = _random_pure_pair(s + 3).to_density()
+        ef = kw.entanglement_of_formation(pure)
+        s_red = la.von_neumann_entropy(la.partial_trace(pure, [0]))
+        res.check(abs(ef - s_red) < CONCURRENCE_TOL, f"EF of pure state wrong, seed {s}")
+        res.check(abs(kw.concurrence(rot_werner) - max(0.0, (3 * p - 1) / 2)) < CONCURRENCE_TOL,
                   f"Werner concurrence wrong, seed {s}")
     return res
 
 
-def suite_proto_entanglement_breaking(seed: int, samples: int) -> SuiteResult:
-    res = SuiteResult("protocols.measure_and_prepare_outputs_are_ppt")
-    for k in range(samples):
-        s = seed * 9000 + k
-        rho = _random_bipartite_dm(s)
-        m = corr.qubit_projective_povm(*np.random.default_rng(s).uniform([0, 0], [np.pi, 2 * np.pi]))
-        sigmas = tuple(
-            la.DensityMatrix(la.random_density_matrix(2, s + 10 + i), (2,)) for i in range(2)
-        )
-        out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
-        pt = out.mat.reshape(out.dims * 2).swapaxes(1, 3).reshape(out.mat.shape)
-        res.check(np.linalg.eigvalsh(pt)[0] >= -PPT_TOL, f"output not PPT, seed {s}")
-    return res
-
-
-def _flag_relay_info(rho: la.DensityMatrix, m: corr.Povm) -> float:
-    """Reference for the LOCC relay: I(S:R) of the measure-and-prepare
-    output with orthonormal flag states, from its three entropies."""
-    k = len(m.elements)
-    flags = tuple(la.DensityMatrix(np.diag(e), (k,)) for e in np.eye(k))
-    return corr.mutual_information(
-        proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, flags)))
-
-
-def suite_proto_locc(seed: int, samples: int) -> SuiteResult:
-    res = SuiteResult("protocols.locc_transfer_matches_J_and_respects_Ic")
+def suite_proto_relays(seed: int, samples: int) -> SuiteResult:
+    res = SuiteResult("protocols.measure_and_prepare_relays_respect_Ic")
+    # The reference for the LOCC relay: I(S:R) of the measure-and-prepare output
+    # with orthonormal flag states, from its three entropies.
+    flags = {n: tuple(la.DensityMatrix(np.diag(e), (n,)) for e in np.eye(n)) for n in (2, 3, 4)}
     for k in range(max(1, samples // 20)):
         s = seed * 10000 + k
         rho = _random_bipartite_dm(s)
         ic = corr.classical_correlation(rho).classical_info
-        for j in range(10):
-            # Rank-1 POVMs of 2, 3 and 4 outcomes; two outcomes are projective.
-            m = corr.random_povm(2 + j % 3, s + j)
+        for j in range(20):
+            # Rank-1 POVMs of n = 2, 3 and 4 outcomes; two outcomes are projective.
+            n = 2 + j % 3
+            m = corr.random_povm(n, s + j)
             li = proto.locc_transfer_info(rho, m)
-            res.check(abs(li - _flag_relay_info(rho, m)) < LOCC_EQUALS_J_TOL,
+            flag_relay = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, flags[n]))
+            res.check(abs(li - corr.mutual_information(flag_relay)) < LOCC_EQUALS_J_TOL,
                       f"locc transfer != J, seed {s + j}")
             res.check(li <= ic + CHAIN_TOL, f"locc transfer beats Ic, seed {s + j}")
+            # Relayed to random mixed states of dimension n, sum_i B_i x sigma_i is separable.
+            sigmas = tuple(la.DensityMatrix(la.random_density_matrix(n, (s * 20 + j) * 4 + i), (n,))
+                           for i in range(n))
+            out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
+            pt = out.mat.reshape(out.dims * 2).swapaxes(1, 3).reshape(out.mat.shape)
+            res.check(np.linalg.eigvalsh(pt)[0] >= -PPT_TOL, f"relay output not PPT, seed {s + j}")
+            res.check(corr.mutual_information(out) <= ic + CHAIN_TOL,
+                      f"relay to mixed states beats Ic, seed {s + j}")
     return res
 
 
@@ -332,7 +325,7 @@ def suite_proto_broadcast(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("protocols.broadcast_sum_and_average_bounds")
     for k in range(samples):
         s = seed * 11000 + k
-        psi = la.StateVector(la.random_pure_state(4, s).vec, (2, 2))
+        psi = _random_pure_pair(s)
         b_dim = (1, 2, 4)[k % 3]
         iso = proto.random_broadcast_isometry(2, (2, 2), b_dim, s + 1)
         out = proto.apply_broadcast(psi, iso)
@@ -344,7 +337,7 @@ def suite_proto_broadcast(seed: int, samples: int) -> SuiteResult:
                   f"min recipient info exceeds S(rho^S), seed {s}")
     for k in range(max(1, samples // 2)):
         s = seed * 12000 + k
-        psi = la.StateVector(la.random_pure_state(4, s).vec, (2, 2))
+        psi = _random_pure_pair(s)
         out = proto.apply_broadcast(psi, proto.random_broadcast_isometry(2, (2, 2, 2), 2, s + 1))
         s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
         res.check(np.mean(proto.recipient_infos(out)) <= s_s + SUM_BOUND_TOL,
@@ -362,8 +355,7 @@ ALL_SUITES = [
     suite_corr_pure_gap,
     suite_kw_agreement,
     suite_kw_concurrence,
-    suite_proto_entanglement_breaking,
-    suite_proto_locc,
+    suite_proto_relays,
     suite_proto_cloner,
     suite_proto_broadcast,
 ]

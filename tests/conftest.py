@@ -2,7 +2,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from discordlim.cli import sweep_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,6 +19,12 @@ def bench():
         yield importlib.import_module("workloads"), importlib.import_module("tracing")
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="session")
+def figure_rows():
+    """The figure's 200 rows, `sweep_rows(0, pi/4, 200)`, built once."""
+    return sweep_rows(0.0, np.pi / 4, 200)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from discordlim import correlations as corr
 from discordlim import koashi_winter as kw
 from discordlim import protocols as proto
 from discordlim import verify
-from discordlim.cli import evaluate_point, sweep_rows
+from discordlim.cli import evaluate_point
 
 
 def report(name, detail):
@@ -85,9 +85,9 @@ def test_6_broadcast_bounds(run_suite):
 
 
 def test_7_protocol_consistency(run_suite):
-    # 250 rank-1 POVMs of 2, 3 and 4 outcomes on 25 states: the relay
-    # equals its flag-state reference and stays <= I^c.
-    res = run_suite(verify.suite_proto_locc, seed=11, samples=500, checks=500)
+    # Claim (a): 500 rank-1 POVMs of 2-4 outcomes on 25 states, each relayed by
+    # flags (= J <= I^c) and to random mixed states (PPT, <= I^c).
+    res = run_suite(verify.suite_proto_relays, seed=11, samples=500, checks=2000)
     report("7 protocol consistency", f"{res.name}: {res.checks} checks")
 
 
@@ -98,16 +98,12 @@ def test_8_cloner_validity(run_suite):
     report("8 cloner", f"{res.name}: {res.checks} checks")
 
 
-def test_9_sweep_shape():
-    rows = sweep_rows(0.0, np.pi / 4, 200)
-    diffs = [r["diff"] for r in rows]
-    signs = [np.sign(d) for d in diffs if abs(d) > 1e-8]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    assert changes == 1
-    ic = [r["Ic"] for r in rows]
-    assert all(ic[i + 1] <= ic[i] + 1e-9 for i in range(len(ic) - 1))
-    clone = [r["I_clone"] for r in rows]
-    assert all(clone[i + 1] <= clone[i] + 1e-9 for i in range(len(clone) - 1))
-    assert clone[0] == pytest.approx(1.0, abs=1e-6)
-    assert clone[-1] == pytest.approx(0.0, abs=1e-6)
+def test_9_sweep_shape(figure_rows):
+    signs = [np.sign(r["diff"]) for r in figure_rows if abs(r["diff"]) > 1e-8]
+    assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
+    for key in ("Ic", "I_clone"):
+        col = [r[key] for r in figure_rows]
+        assert all(col[i + 1] <= col[i] + 1e-9 for i in range(len(col) - 1))
+    assert figure_rows[0]["I_clone"] == pytest.approx(1.0, abs=1e-6)
+    assert figure_rows[-1]["I_clone"] == pytest.approx(0.0, abs=1e-6)
     report("9 sweep shape", "one diff sign change; Ic and I_clone nonincreasing, 1 -> 0")

@@ -149,11 +149,10 @@ pass  correlations.local_unitary_invariance  (20 checks, 0 failures)
 pass  correlations.pure_state_factor_two_gap  (20 checks, 0 failures)
 pass  koashi_winter.dual_route_agreement_and_monotonicity  (103 checks, 0 failures)
 pass  koashi_winter.concurrence_invariance_and_pure_ef  (300 checks, 0 failures)
-pass  protocols.measure_and_prepare_outputs_are_ppt  (100 checks, 0 failures)
-pass  protocols.locc_transfer_matches_J_and_respects_Ic  (100 checks, 0 failures)
+pass  protocols.measure_and_prepare_relays_respect_Ic  (400 checks, 0 failures)
 pass  protocols.cloner_matches_brute_force_scan  (202 checks, 0 failures)
 pass  protocols.broadcast_sum_and_average_bounds  (250 checks, 0 failures)
-ok: 13 suites, 2025 checks, seed 7
+ok: 12 suites, 2225 checks, seed 7
 """
 
 
@@ -165,8 +164,8 @@ class TestGoldenOutput:
     def test_crossover(self, capsys):
         assert run_cli(capsys, "crossover") == (0, CROSSOVER, "")
 
-    def test_sweep_csv(self):
-        text = format_csv(sweep_rows(0.0, np.pi / 4, 200))
+    def test_sweep_csv(self, figure_rows):
+        text = format_csv(figure_rows)
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_200_SHA256
 
     def test_verify(self, capsys):
@@ -250,11 +249,10 @@ pass  correlations.local_unitary_invariance  (2 checks, 0 failures)
 pass  correlations.pure_state_factor_two_gap  (2 checks, 0 failures)
 pass  koashi_winter.dual_route_agreement_and_monotonicity  (8 checks, 0 failures)
 pass  koashi_winter.concurrence_invariance_and_pure_ef  (15 checks, 0 failures)
-pass  protocols.measure_and_prepare_outputs_are_ppt  (5 checks, 0 failures)
-pass  protocols.locc_transfer_matches_J_and_respects_Ic  (20 checks, 0 failures)
+pass  protocols.measure_and_prepare_relays_respect_Ic  (80 checks, 0 failures)
 pass  protocols.cloner_matches_brute_force_scan  (12 checks, 0 failures)
 pass  protocols.broadcast_sum_and_average_bounds  (12 checks, 0 failures)
-ok: 13 suites, 129 checks, seed 3
+ok: 12 suites, 184 checks, seed 3
 """
 
 
@@ -283,6 +281,15 @@ class TestVerify:
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_suite"]
         assert sorted(pinned) == sorted(f"verify.{suite.__name__}" for suite in verify.ALL_SUITES)
+
+    def test_every_tolerance_is_read(self):
+        # Every *_TOL in verify is read there by a function, or by name in perfbench/workloads.py.
+        tree = ast.parse(Path(verify.__file__).read_text())
+        bench = ast.parse((Path(__file__).parents[1] / "perfbench/workloads.py").read_text())
+        read = {node.id for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        read |= {node.value for node in ast.walk(bench) if isinstance(node, ast.Constant)}
+        assert [name for name in vars(verify) if name.endswith("_TOL") and name not in read] == []
 
     def test_every_raises_names_its_message(self):
         # A bare pytest.raises(ValueError) passes on any fault; argument

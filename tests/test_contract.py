@@ -142,8 +142,8 @@ ROWS = [
      "the system factor must be a qubit"),
     ("PreparedEnsembleChannel", "outcome-count", (Z, (ONE_QUBIT,)),
      "one prepared state per measurement outcome required"),
-    ("measure_and_prepare", "prepared-dims",
-     (FAMILY, dl.PreparedEnsembleChannel(Z, (ONE_QUBIT, dl.DensityMatrix(np.eye(3) / 3, (3,))))),
+    ("PreparedEnsembleChannel", "prepared-dims",
+     (Z, (ONE_QUBIT, dl.DensityMatrix(np.eye(3) / 3, (3,)))),
      "prepared states must share one dimension"),
     ("optimal_state_dependent_cloner", "qutrits", (QUTRIT, QUTRIT), "cloner inputs must be qubits"),
     ("optimal_state_dependent_cloner", "negative-overlap", (PSI, PHI_NEGATIVE),

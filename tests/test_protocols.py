@@ -75,18 +75,6 @@ class TestMeasureAndPrepare:
         assert np.allclose(out.mat, expected, atol=1e-12)
         assert corr.mutual_information(out) == pytest.approx(1.0, abs=1e-9)
 
-    def test_data_processing_inequality(self):
-        for seed in range(30):
-            rho = la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
-            rng = np.random.default_rng(seed)
-            m = corr.qubit_projective_povm(*rng.uniform([0, 0], [np.pi, 2 * np.pi]))
-            sigmas = tuple(
-                la.DensityMatrix(la.random_density_matrix(2, seed + 50 + i), (2,))
-                for i in range(2)
-            )
-            out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
-            assert corr.mutual_information(out) <= corr.mutual_information(rho) + 1e-8
-
     def test_matches_kron_reference(self):
         for seed in range(12):
             d_s = 2 + seed % 2
@@ -98,9 +86,6 @@ class TestMeasureAndPrepare:
             ref = kron_measure_and_prepare(rho, m, sigmas)
             assert out.dims == (d_s, 3)
             assert np.max(np.abs(out.mat - ref)) <= 1e-13
-
-    def test_outputs_pass_partial_transpose_check(self, run_suite):
-        run_suite(verify.suite_proto_entanglement_breaking, seed=11, samples=50, checks=50)
 
 
 class TestLoccTransferInfo:
