@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands:
-  point      -- evaluate I, I^c (optimizer and closed-form routes),
-                discord, cloning information at one angle
+  point      -- evaluate I, I^c (optimizer and closed-form routes, which
+                must agree), discord, cloning information at one angle
   sweep      -- write the angle sweep behind the comparison figure as CSV
   crossover  -- locate the angle where the global-fidelity cloner overtakes
                 LOCC (not where quantum communication starts to win)
@@ -52,16 +52,21 @@ def _parse_theta(value: float, in_pi: bool) -> float:
 
 def evaluate_point(theta: float) -> dict:
     """One sweep record plus the closed-form cross-check value, at the
-    angle as the library clamps it."""
+    angle as the library clamps it. Raises ValueError when the optimizer's
+    I^c and the closed form's differ by more than KW_AGREEMENT_TOL."""
     theta = _check_theta(theta)
     rho = example_state(theta)
     rep = classical_correlation(rho)
+    ic_kw = classical_correlation_kw(rho)
+    gap = abs(rep.classical_info - ic_kw)
+    if not gap <= verify_mod.KW_AGREEMENT_TOL:
+        raise ValueError(f"Ic and Ic_kw differ by {gap:.3g} bits at theta={float(theta)!r}")
     i_clone = cloning_recipient_info(theta)
     return {
         "theta": theta,
         "I": rep.mutual_info,
         "Ic": rep.classical_info,
-        "Ic_kw": classical_correlation_kw(rho),
+        "Ic_kw": ic_kw,
         "discord": rep.discord,
         "I_clone": i_clone,
         "diff": rep.classical_info - i_clone,

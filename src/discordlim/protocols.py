@@ -54,6 +54,7 @@ class PreparedEnsembleChannel:
     prepared: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "prepared", tuple(self.prepared))
         _expect(self.measurement, "measurement", Povm)
         for sigma in self.prepared:
             _expect(sigma, "prepared state", DensityMatrix)

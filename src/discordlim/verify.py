@@ -24,8 +24,9 @@ from . import linalg as la
 from . import protocols as proto
 
 # Tolerance table. At the pinned Tier-1 runs (seed 11) every suite also
-# passes with its tolerance lowered to 1e-12 (CHAIN_TOL and PPT_TOL to
-# 1e-18): the values leave margin for other seeds, not for known error.
+# passes with its tolerance lowered to 1e-12 (PPT_TOL, and CHAIN_TOL in its
+# one-sided bounds, to 1e-18): the values leave margin for other seeds, not
+# for known error.
 # A reduction's expectation values and entries against kron-built references: sums of a
 # few products each, so rounding only; the value a DensityMatrix allows its trace (TRACE_TOL).
 TRACE_PRESERVE_TOL = 1e-10
@@ -33,11 +34,9 @@ TRACE_PRESERVE_TOL = 1e-10
 ENTROPY_TOL = 1e-9
 # Purify then reduce: two eigendecompositions and an outer product per state.
 ROUNDTRIP_TOL = 1e-9
-# Eigenvalues of a random state lie in [0, 1] up to la.PSD_TOL, which a DensityMatrix
-# allows, and sum to its trace: 1 up to eigensolver rounding.
-SPECTRUM_SUM_TOL = 1e-9
-# 0 <= J <= I^c <= I, and a measure-and-prepare relay's I(S:R) <= I^c: J is
-# flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
+# 0 <= J <= I^c <= I, J of the reported measurement = I^c (over 300 states the
+# largest gap was 7.8e-16), and a measure-and-prepare relay's I(S:R) <= I^c: J
+# is flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
 CHAIN_TOL = 1e-8
 # A CQ state's optimum is a basis measurement. Over seeds 0-19 (100 states
 # per suite) this and the next two checks erred below 2e-15, 4e-15 and 3e-15.
@@ -59,8 +58,9 @@ KW_ENDPOINT_TOL = 1e-9
 PPT_TOL = 1e-9
 # Two routes to one J: flag states and a mutual information, or the branch contraction.
 LOCC_EQUALS_J_TOL = 1e-9
-# The brute-force fidelity scan refines its angle only down to a 1e-6 rad step.
-CLONER_SCAN_TOL = 1e-6
+# The cloner's fidelity against the closed-form optimum: over 1001 family
+# angles the largest gap was 7.8e-16, rounding only.
+CLONER_FIDELITY_TOL = 1e-12
 # The cloner outputs keep the inputs' overlap s: <alpha|beta> = cos(arccos s) up to rounding.
 CLONER_OVERLAP_TOL = 1e-8
 # Broadcast bounds are met with equality by the classical copy, so only rounding may exceed them.
@@ -138,14 +138,14 @@ def suite_linalg_purify(seed: int, samples: int) -> SuiteResult:
     for k in range(samples):
         s = seed * 3000 + k
         rho = la.DensityMatrix(la.random_density_matrix(4, s), (4,))
-        psi = la.purify(rho)
-        back = la.partial_trace(psi.to_density(), [0])
+        pure = la.purify(rho).to_density()
+        back = la.partial_trace(pure, [0])
         res.check(np.max(np.abs(back.mat - rho.mat)) < ROUNDTRIP_TOL,
                   f"purify roundtrip failed, seed {s}")
-        vals = np.linalg.eigvalsh(rho.mat)
-        res.check(vals[0] >= -la.PSD_TOL and vals[-1] <= 1 + la.PSD_TOL
-                  and abs(vals.sum() - 1) < SPECTRUM_SUM_TOL,
-                  f"spectrum out of range, seed {s}")
+        # A pure state's two marginals share their nonzero spectrum.
+        res.check(abs(la.von_neumann_entropy(la.partial_trace(pure, [1]))
+                      - la.von_neumann_entropy(rho)) < ENTROPY_TOL,
+                  f"ancilla entropy != S(rho), seed {s}")
     return res
 
 
@@ -157,7 +157,8 @@ def suite_corr_chain(seed: int, samples: int) -> SuiteResult:
         rep = corr.classical_correlation(rho)
         res.check(rep.classical_info <= rep.mutual_info + CHAIN_TOL,
                   f"Ic exceeds I, seed {s}")
-        res.check(rep.discord >= -CHAIN_TOL, f"negative discord, seed {s}")
+        res.check(abs(corr.accessible_information(rho, rep.measurement) - rep.classical_info)
+                  < CHAIN_TOL, f"reported measurement misses Ic, seed {s}")
         for n_out, off in ((2, 0), (3, 500)):
             for j in range(5):
                 m = corr.random_povm(n_out, s + off + j)
@@ -284,38 +285,22 @@ def suite_proto_relays(seed: int, samples: int) -> SuiteResult:
     return res
 
 
-def _cloner_fidelity_scan(psi: la.StateVector, phi: la.StateVector) -> float:
-    """Brute-force reference for the cloner's best global fidelity: scan
-    pairs of unit vectors in the real 2-plane of the target products under
-    the overlap constraint, over one angle at a 1e-3 rad step, then at a
-    1e-6 rad step about the best."""
-    s = max(0.0, np.vdot(psi.vec, phi.vec).real)
-    pp, ff = np.kron(psi.vec, psi.vec), np.kron(phi.vec, phi.vec)
-    if np.linalg.norm(pp - ff) < proto.IDENTICAL_INPUTS_TOL:
-        return 1.0
-    omega = np.arccos(np.clip(s, -1.0, 1.0))
-    # In-plane angle between the target products.
-    omega_big = np.arccos(np.clip(np.vdot(pp, ff).real, -1.0, 1.0))
-
-    def fidelities(us: np.ndarray) -> np.ndarray:
-        # alpha at angle u from |psi psi>; beta at either angle that makes
-        # the pair overlap cos(omega), one row each.
-        return 0.5 * (np.cos(us) ** 2 + np.cos(omega_big + np.array([[-omega], [omega]]) - us) ** 2)
-
-    us = np.arange(-np.pi, np.pi, 1e-3)
-    u0 = us[fidelities(us).argmax() % len(us)]
-    return float(fidelities(np.arange(u0 - 2e-3, u0 + 2e-3, 1e-6)).max())
+def _optimal_cloner_fidelity(s: float) -> float:
+    """The best global fidelity of any cloner of two pure states with real
+    overlap 0 <= s <= 1 to two copies each,
+    F = (1 + s^3 + sqrt((1 - s^2)(1 - s^4))) / 2 (Bruss, DiVincenzo, Ekert,
+    Fuchs, Macchiavello & Smolin, PRA 57, 2368 (1998))."""
+    return 0.5 * (1 + s ** 3 + np.sqrt((1 - s ** 2) * (1 - s ** 4)))
 
 
 def suite_proto_cloner(seed: int, samples: int) -> SuiteResult:
-    res = SuiteResult("protocols.cloner_matches_brute_force_scan")
+    res = SuiteResult("protocols.cloner_attains_the_closed_form_optimum")
     for t in np.linspace(0.0, np.pi / 4, min(101, max(3, samples + 1))):
         psi, phi = kw.example_branches(t)
         out = proto.optimal_state_dependent_cloner(psi, phi)
-        ref = _cloner_fidelity_scan(psi, phi)
-        res.check(abs(out.fidelity - ref) < CLONER_SCAN_TOL,
-                  f"fidelity off the scan at theta={t:.6f}")
         s_in = np.vdot(psi.vec, phi.vec).real
+        res.check(abs(out.fidelity - _optimal_cloner_fidelity(s_in)) < CLONER_FIDELITY_TOL,
+                  f"fidelity off the optimum at theta={t:.6f}")
         res.check(abs(np.vdot(out.alpha.vec, out.beta.vec) - s_in) < CLONER_OVERLAP_TOL,
                   f"output overlap drifted at theta={t:.6f}")
     return res

@@ -92,8 +92,8 @@ def test_7_protocol_consistency(run_suite):
 
 
 def test_8_cloner_validity(run_suite):
-    # The 101-angle grid: fidelity against a brute-force scan, and the
-    # output overlap.
+    # The 101-angle grid: fidelity against the closed-form optimum, and
+    # the output overlap.
     res = run_suite(verify.suite_proto_cloner, seed=11, samples=100, checks=202)
     report("8 cloner", f"{res.name}: {res.checks} checks")
 

@@ -2,7 +2,13 @@
 every public name a workload calls must still exist with its signature.
 Each workload's fixed probe inputs go through its op and its check."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_benchmark_reads_the_package_tolerances(bench):
@@ -36,3 +42,13 @@ def test_closed_form_first_two_crossover_cycles_pass_their_checks(bench):
         out = workload.run(tracing.untraced_call, inp)
         fails, _ = workload.check(tracing.untraced_call, inp, out)
         assert fails == [], f"op {i} ({workload.kind(inp)}): {fails}"
+
+
+@pytest.mark.parametrize("workload", ["random_states", "closed_form"])
+def test_paired_ab_reads_a_tree_against_itself_bit_identical(workload):
+    # An A/A run of the tool behind each change's bit-identity evidence.
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
+                          str(ROOT), "--ops", "18", "--workload", workload],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "outputs bit-identical in 18/18 ops" in out.stdout

@@ -59,6 +59,18 @@ class TestPoint:
         code, out, err = run_cli(capsys, "point", "--theta", "0.1")
         assert (code, out, err) == (2, "", "error: state rank exceeds 2\n")
 
+    def test_routes_that_disagree_exit_2(self, capsys, monkeypatch, tmp_path):
+        # Every I^c the CLI reports is checked against the closed form.
+        kw_route = cli.classical_correlation_kw
+        monkeypatch.setattr(cli, "classical_correlation_kw", lambda rho: kw_route(rho) + 1e-9)
+        code, out, err = run_cli(capsys, "point", "--theta", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: Ic and Ic_kw differ by 1e-09 bits at theta=0.1\n"
+        code, out, err = run_cli(capsys, "sweep", "--theta-min", "0", "--theta-max", "0.1",
+                                 "--steps", "2", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: Ic and Ic_kw differ by 1e-09 bits at theta=0.0\n"
+
 
 # Default stdout recorded before the information layer was consolidated:
 # a change that moves a printed digit shows here.
@@ -150,7 +162,7 @@ pass  correlations.pure_state_factor_two_gap  (20 checks, 0 failures)
 pass  koashi_winter.dual_route_agreement_and_monotonicity  (103 checks, 0 failures)
 pass  koashi_winter.concurrence_invariance_and_pure_ef  (300 checks, 0 failures)
 pass  protocols.measure_and_prepare_relays_respect_Ic  (400 checks, 0 failures)
-pass  protocols.cloner_matches_brute_force_scan  (202 checks, 0 failures)
+pass  protocols.cloner_attains_the_closed_form_optimum  (202 checks, 0 failures)
 pass  protocols.broadcast_sum_and_average_bounds  (250 checks, 0 failures)
 ok: 12 suites, 2225 checks, seed 7
 """
@@ -250,7 +262,7 @@ pass  correlations.pure_state_factor_two_gap  (2 checks, 0 failures)
 pass  koashi_winter.dual_route_agreement_and_monotonicity  (8 checks, 0 failures)
 pass  koashi_winter.concurrence_invariance_and_pure_ef  (15 checks, 0 failures)
 pass  protocols.measure_and_prepare_relays_respect_Ic  (80 checks, 0 failures)
-pass  protocols.cloner_matches_brute_force_scan  (12 checks, 0 failures)
+pass  protocols.cloner_attains_the_closed_form_optimum  (12 checks, 0 failures)
 pass  protocols.broadcast_sum_and_average_bounds  (12 checks, 0 failures)
 ok: 12 suites, 184 checks, seed 3
 """

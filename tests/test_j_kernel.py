@@ -136,7 +136,7 @@ class TestOptimizer:
         r2 = corr.classical_correlation(rho)
         assert (r1.mutual_info, r1.classical_info, r1.discord) == (
             r2.mutual_info, r2.classical_info, r2.discord)
-        assert all(np.array_equal(a, b)
+        assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(r1.measurement.elements, r2.measurement.elements))
 
 
