@@ -53,13 +53,13 @@ def _parse_theta(value: float, in_pi: bool) -> float:
 def evaluate_point(theta: float) -> dict:
     """One sweep record plus the closed-form cross-check value, at the
     angle as the library clamps it. Raises ValueError when the optimizer's
-    I^c and the closed form's differ by more than KW_AGREEMENT_TOL."""
+    I^c and the closed form's differ by more than `verify.ROUNDING_TOL`."""
     theta = _check_theta(theta)
     rho = example_state(theta)
     rep = classical_correlation(rho)
     ic_kw = classical_correlation_kw(rho)
     gap = abs(rep.classical_info - ic_kw)
-    if not gap <= verify_mod.KW_AGREEMENT_TOL:
+    if not gap <= verify_mod.ROUNDING_TOL:
         raise ValueError(f"Ic and Ic_kw differ by {gap:.3g} bits at theta={float(theta)!r}")
     i_clone = cloning_recipient_info(theta)
     return {

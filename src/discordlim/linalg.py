@@ -13,8 +13,8 @@ else raises ValueError naming the fault before numpy can warn; the CLI
 exits 2 on it. The four value types, `DensityMatrix`, `StateVector`,
 `Povm` and `BroadcastIsometry`, each make one read-only copy of their
 input (`_owned`, which rejects non-finite entries) and check it; a
-density matrix and each POVM element are Hermitian within HERM_TOL, then
-PSD within PSD_TOL. Inside the package, states pass as raw arrays and
+density matrix and each POVM element are Hermitian, then PSD, within
+INPUT_TOL. Inside the package, states pass as raw arrays and
 are not checked again. A `DensityMatrix` keeps the spectrum of its PSD
 check, so `von_neumann_entropy` of one makes no eigensolve; a bipartite
 one keeps S(rho^S) and S(rho^A) from the first call that needs them, for I
@@ -30,12 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Validation tolerances for the value types.
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-NORM_TOL = 1e-10
-ISOMETRY_TOL = 1e-10
+# How far caller input may be off through rounding: a value type's
+# Hermiticity, trace, PSD, norm and isometry checks, and the cloner's overlap.
+INPUT_TOL = 1e-10
+# The value POVM completeness has always had, so that no POVM accepted before is rejected.
 POVM_SUM_TOL = 1e-9
 
 # Eigenvalues below this contribute nothing to entropies.
@@ -111,8 +109,8 @@ class _Rebuilt:
 
 def _check_hermitian(mats: np.ndarray, what: str):
     """Raise unless a matrix, or each matrix in a stack, is Hermitian
-    within HERM_TOL."""
-    if abs(mats - mats.conj().swapaxes(-1, -2)).max() > HERM_TOL:
+    within INPUT_TOL."""
+    if abs(mats - mats.conj().swapaxes(-1, -2)).max() > INPUT_TOL:
         raise ValueError(f"{what} is not Hermitian")
 
 
@@ -135,10 +133,10 @@ class DensityMatrix(_Rebuilt):
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
         _check_hermitian(mat, "density matrix")
         tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         vals = np.linalg.eigvalsh(mat)
-        if vals[0] < -PSD_TOL:
+        if vals[0] < -INPUT_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         vals.flags.writeable = False
         object.__setattr__(self, "_spectrum", vals)
@@ -176,7 +174,7 @@ class StateVector(_Rebuilt):
             raise ValueError("state vector must be one-dimensional")
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _check_dims(self.dims, vec.size))
-        if abs(_norm(vec) - 1.0) > NORM_TOL:
+        if abs(_norm(vec) - 1.0) > INPUT_TOL:
             raise ValueError("state vector is not normalized")
 
     @property
@@ -206,7 +204,7 @@ class Povm(_Rebuilt):
         _check_hermitian(stack[1:], "POVM element")
         if abs(stack[1:].sum(axis=0) - stack[0]).max() > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        if np.linalg.eigvalsh(stack[1:])[:, 0].min() < -PSD_TOL:
+        if np.linalg.eigvalsh(stack[1:])[:, 0].min() < -INPUT_TOL:
             raise ValueError("POVM element is not PSD")
         object.__setattr__(self, "elements", tuple(stack[1:]))
         object.__setattr__(self, "_stack", stack)
@@ -233,7 +231,7 @@ class BroadcastIsometry(_Rebuilt):
         d_out = math.prod(recipients) * ancilla
         if mat.shape[0] != d_out:
             raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
-        if abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max() > ISOMETRY_TOL:
+        if abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max() > INPUT_TOL:
             raise ValueError("matrix is not an isometry")
 
     @property

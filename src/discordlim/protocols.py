@@ -24,6 +24,7 @@ import numpy as np
 from .correlations import _branch_states, accessible_information
 from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
 from .linalg import (
+    INPUT_TOL,
     BroadcastIsometry,
     DensityMatrix,
     Povm,
@@ -40,8 +41,6 @@ from .linalg import (
 
 CROSSOVER_BRACKET = (0.05 * np.pi, 0.15 * np.pi)
 CROSSOVER_TOL = 1e-6
-# An input overlap must be real and nonnegative; a residue this small is rounding.
-OVERLAP_TOL = 1e-10
 # |psi psi> and |phi phi> closer than this are one input: the cloner plane has one direction.
 IDENTICAL_INPUTS_TOL = 1e-12
 
@@ -107,7 +106,7 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("cloner inputs must be qubits")
     s = np.vdot(psi.vec, phi.vec)
-    if abs(s.imag) > OVERLAP_TOL or s.real < -OVERLAP_TOL:
+    if abs(s.imag) > INPUT_TOL or s.real < -INPUT_TOL:
         raise ValueError("cloner requires a real nonnegative input overlap")
     alpha, beta = _clone(psi.vec, phi.vec)
     fid = 0.5 * (abs(np.vdot(alpha, np.kron(psi.vec, psi.vec))) ** 2

@@ -6,10 +6,10 @@ These suites are the one definition of the sampled invariants: Tier-1
 runs each of them once, at a pinned (seed, samples), and asserts that it
 passes with its exact check count; no test re-implements their checks.
 
-Every tolerance a suite compares against is named in the table below,
-with the reason for its value. `perfbench/workloads.py` reads four of
-them, KW_AGREEMENT_TOL, CHAIN_TOL, ENTROPY_TOL and SUM_BOUND_TOL, once at
-import for its own output checks, so those names must not change.
+Every check is an identity or a bound that holds exactly, so only
+rounding can break one: every suite compares against ROUNDING_TOL.
+`perfbench/workloads.py` reads the four names that follow it below, for
+its own output checks, once at import, so those names must stay.
 """
 
 from __future__ import annotations
@@ -23,48 +23,18 @@ from . import koashi_winter as kw
 from . import linalg as la
 from . import protocols as proto
 
-# Tolerance table. At the pinned Tier-1 runs (seed 11) every suite also
-# passes with its tolerance lowered to 1e-12 (PPT_TOL, and CHAIN_TOL in its
-# one-sided bounds, to 1e-18): the values leave margin for other seeds, not
-# for known error.
-# A reduction's expectation values and entries against kron-built references: sums of a
-# few products each, so rounding only; the value a DensityMatrix allows its trace (TRACE_TOL).
-TRACE_PRESERVE_TOL = 1e-10
-# Entropies of spectra up to dimension 6, each off by eigensolver rounding only.
-ENTROPY_TOL = 1e-9
-# Purify then reduce: two eigendecompositions and an outer product per state.
-ROUNDTRIP_TOL = 1e-9
-# 0 <= J <= I^c <= I, J of the reported measurement = I^c (over 300 states the
-# largest gap was 7.8e-16), and a measure-and-prepare relay's I(S:R) <= I^c: J
-# is flat at the optimum, so a 1e-8 rad final step costs ~1e-16.
+# The checks round in sums of a few products, in entropies of spectra up
+# to dimension 16, and in J at the optimizer's reported measurement (J is flat
+# at the optimum, so a 1e-8 rad final step costs ~1e-16). Every suite also
+# passes at a tenth of this value, on seeds 0-39 at 100 samples and on
+# seeds 7, 11 and 101 at 1000 samples.
+ROUNDING_TOL = 1e-12
+KW_AGREEMENT_TOL = SUM_BOUND_TOL = ROUNDING_TOL
+# Read by the benchmark only, and looser than ROUNDING_TOL: its references keep the
+# eigenvalues at or below la.ENTROPY_CLIP that I drops (-q log2 q <= 4e-11), and
+# near theta = pi/4 - 1e-6 the package's I^c exceeds its I by up to 1.4e-12.
 CHAIN_TOL = 1e-8
-# A CQ state's optimum is a basis measurement. Over seeds 0-19 (100 states
-# per suite) this and the next two checks erred below 2e-15, 4e-15 and 3e-15.
-CQ_DISCORD_TOL = 1e-12
-# Two independent optimizer runs, on a state and on a locally rotated copy of it.
-LOCAL_UNITARY_TOL = 1e-12
-# Optimizer I^c against entropies of the reductions of a pure state, and
-# against J of the measurement it reports.
-PURE_GAP_TOL = 1e-12
-# Optimizer against the tau-form closed form: both within ~1e-15 of the exact family value.
-KW_AGREEMENT_TOL = 1e-12
-# Singular values of tau are local-unitary invariant; for a pure state E_F is an entropy.
-CONCURRENCE_TOL = 1e-12
-# Each closed-form KW value may exceed the one at the previous grid angle by rounding only.
-KW_MONOTONE_TOL = 1e-9
-# I^c = 1 at theta = 0 (a classical pair) and 0 at pi/4 (a product state).
-KW_ENDPOINT_TOL = 1e-9
-# The partial transpose of a separable output is PSD; its smallest eigenvalue may be 0.
-PPT_TOL = 1e-9
-# Two routes to one J: flag states and a mutual information, or the branch contraction.
-LOCC_EQUALS_J_TOL = 1e-9
-# The cloner's fidelity against the closed-form optimum: over 1001 family
-# angles the largest gap was 7.8e-16, rounding only.
-CLONER_FIDELITY_TOL = 1e-12
-# The cloner outputs keep the inputs' overlap s: <alpha|beta> = cos(arccos s) up to rounding.
-CLONER_OVERLAP_TOL = 1e-8
-# Broadcast bounds are met with equality by the classical copy, so only rounding may exceed them.
-SUM_BOUND_TOL = 1e-8
+ENTROPY_TOL = 1e-9
 
 
 @dataclass
@@ -108,9 +78,9 @@ def suite_linalg_partial_trace(seed: int, samples: int) -> SuiteResult:
         for keep, lifted in ((0, np.kron(obs, np.eye(2))), (1, np.kron(np.eye(2), obs))):
             red = la.partial_trace(rho, [keep])
             res.check(abs(np.trace(red.mat @ obs) - np.trace(rho.mat @ lifted))
-                      < TRACE_PRESERVE_TOL, f"expectation value not kept, seed {s}")
+                      < ROUNDING_TOL, f"expectation value not kept, seed {s}")
             res.check(np.max(np.abs(la.partial_trace(product, [keep]).mat - factors[keep]))
-                      < TRACE_PRESERVE_TOL, f"product factor not kept, seed {s}")
+                      < ROUNDING_TOL, f"product factor not kept, seed {s}")
     return res
 
 
@@ -122,12 +92,12 @@ def suite_linalg_entropy(seed: int, samples: int) -> SuiteResult:
         b = la.random_density_matrix(3, s + 1)
         lhs = la.von_neumann_entropy(np.kron(a, b))
         rhs = la.von_neumann_entropy(a) + la.von_neumann_entropy(b)
-        res.check(abs(lhs - rhs) < ENTROPY_TOL, f"additivity failed, seed {s}")
+        res.check(abs(lhs - rhs) < ROUNDING_TOL, f"additivity failed, seed {s}")
         u = la.random_unitary(4, s + 2)
         rho = la.random_density_matrix(4, s + 3)
         res.check(
             abs(la.von_neumann_entropy(u @ rho @ u.conj().T) - la.von_neumann_entropy(rho))
-            < ENTROPY_TOL,
+            < ROUNDING_TOL,
             f"unitary invariance failed, seed {s}",
         )
     return res
@@ -140,11 +110,11 @@ def suite_linalg_purify(seed: int, samples: int) -> SuiteResult:
         rho = la.DensityMatrix(la.random_density_matrix(4, s), (4,))
         pure = la.purify(rho).to_density()
         back = la.partial_trace(pure, [0])
-        res.check(np.max(np.abs(back.mat - rho.mat)) < ROUNDTRIP_TOL,
+        res.check(np.max(np.abs(back.mat - rho.mat)) < ROUNDING_TOL,
                   f"purify roundtrip failed, seed {s}")
         # A pure state's two marginals share their nonzero spectrum.
         res.check(abs(la.von_neumann_entropy(la.partial_trace(pure, [1]))
-                      - la.von_neumann_entropy(rho)) < ENTROPY_TOL,
+                      - la.von_neumann_entropy(rho)) < ROUNDING_TOL,
                   f"ancilla entropy != S(rho), seed {s}")
     return res
 
@@ -155,15 +125,15 @@ def suite_corr_chain(seed: int, samples: int) -> SuiteResult:
         s = seed * 4000 + k
         rho = _random_bipartite_dm(s)
         rep = corr.classical_correlation(rho)
-        res.check(rep.classical_info <= rep.mutual_info + CHAIN_TOL,
+        res.check(rep.classical_info <= rep.mutual_info + ROUNDING_TOL,
                   f"Ic exceeds I, seed {s}")
         res.check(abs(corr.accessible_information(rho, rep.measurement) - rep.classical_info)
-                  < CHAIN_TOL, f"reported measurement misses Ic, seed {s}")
+                  < ROUNDING_TOL, f"reported measurement misses Ic, seed {s}")
         for n_out, off in ((2, 0), (3, 500)):
             for j in range(5):
                 m = corr.random_povm(n_out, s + off + j)
                 jval = corr.accessible_information(rho, m)
-                res.check(-CHAIN_TOL <= jval <= rep.classical_info + CHAIN_TOL,
+                res.check(-ROUNDING_TOL <= jval <= rep.classical_info + ROUNDING_TOL,
                           f"sampled POVM beats the optimizer, seed {s + off + j}")
     return res
 
@@ -181,7 +151,7 @@ def suite_corr_cq_states(seed: int, samples: int) -> SuiteResult:
         )
         rho = la.DensityMatrix(mat, (2, 2))
         rep = corr.classical_correlation(rho)
-        res.check(abs(rep.discord) < CQ_DISCORD_TOL, f"cq state has discord, seed {s}")
+        res.check(abs(rep.discord) < ROUNDING_TOL, f"cq state has discord, seed {s}")
     return res
 
 
@@ -192,9 +162,9 @@ def suite_corr_local_unitary(seed: int, samples: int) -> SuiteResult:
         rho = _random_bipartite_dm(s)
         r1 = corr.classical_correlation(rho)
         r2 = corr.classical_correlation(_locally_rotated(s, rho.mat)[0])
-        res.check(abs(r1.classical_info - r2.classical_info) < LOCAL_UNITARY_TOL,
+        res.check(abs(r1.classical_info - r2.classical_info) < ROUNDING_TOL,
                   f"Ic not locally unitary invariant, seed {s}")
-        res.check(abs(r1.discord - r2.discord) < LOCAL_UNITARY_TOL,
+        res.check(abs(r1.discord - r2.discord) < ROUNDING_TOL,
                   f"discord not locally unitary invariant, seed {s}")
     return res
 
@@ -206,9 +176,9 @@ def suite_corr_pure_gap(seed: int, samples: int) -> SuiteResult:
         rho = _random_pure_pair(s).to_density()
         rep = corr.classical_correlation(rho)
         s_s = la.von_neumann_entropy(la.partial_trace(rho, [0]))
-        res.check(abs(rep.discord - s_s) < PURE_GAP_TOL, f"discord != S(rho^S), seed {s}")
+        res.check(abs(rep.discord - s_s) < ROUNDING_TOL, f"discord != S(rho^S), seed {s}")
         j = corr.accessible_information(rho, rep.measurement)
-        res.check(abs(j - rep.classical_info) < PURE_GAP_TOL,
+        res.check(abs(j - rep.classical_info) < ROUNDING_TOL,
                   f"reported measurement misses Ic, seed {s}")
     return res
 
@@ -222,11 +192,11 @@ def suite_kw_agreement(seed: int, samples: int) -> SuiteResult:
         v_kw = kw.classical_correlation_kw(rho)
         v_opt = corr.classical_correlation(rho).classical_info
         vals.append(v_kw)
-        res.check(abs(v_kw - v_opt) < KW_AGREEMENT_TOL,
+        res.check(abs(v_kw - v_opt) < ROUNDING_TOL,
                   f"routes disagree at theta={t:.6f}")
-    res.check(all(vals[i + 1] <= vals[i] + KW_MONOTONE_TOL for i in range(len(vals) - 1)),
+    res.check(all(vals[i + 1] <= vals[i] + ROUNDING_TOL for i in range(len(vals) - 1)),
               "kw route not monotone nonincreasing")
-    res.check(abs(vals[0] - 1.0) < KW_ENDPOINT_TOL and abs(vals[-1]) < KW_ENDPOINT_TOL,
+    res.check(abs(vals[0] - 1.0) < ROUNDING_TOL and abs(vals[-1]) < ROUNDING_TOL,
               "endpoint values wrong")
     return res
 
@@ -245,13 +215,13 @@ def suite_kw_concurrence(seed: int, samples: int) -> SuiteResult:
         p = np.random.default_rng(s).random()
         werner = p * np.outer(_SINGLET, _SINGLET) + (1 - p) * np.eye(4) / 4
         rot, rot_werner = _locally_rotated(s, rho.mat, werner)
-        res.check(abs(kw.concurrence(rho) - kw.concurrence(rot)) < CONCURRENCE_TOL,
+        res.check(abs(kw.concurrence(rho) - kw.concurrence(rot)) < ROUNDING_TOL,
                   f"concurrence not invariant, seed {s}")
         pure = _random_pure_pair(s + 3).to_density()
         ef = kw.entanglement_of_formation(pure)
         s_red = la.von_neumann_entropy(la.partial_trace(pure, [0]))
-        res.check(abs(ef - s_red) < CONCURRENCE_TOL, f"EF of pure state wrong, seed {s}")
-        res.check(abs(kw.concurrence(rot_werner) - max(0.0, (3 * p - 1) / 2)) < CONCURRENCE_TOL,
+        res.check(abs(ef - s_red) < ROUNDING_TOL, f"EF of pure state wrong, seed {s}")
+        res.check(abs(kw.concurrence(rot_werner) - max(0.0, (3 * p - 1) / 2)) < ROUNDING_TOL,
                   f"Werner concurrence wrong, seed {s}")
     return res
 
@@ -271,16 +241,17 @@ def suite_proto_relays(seed: int, samples: int) -> SuiteResult:
             m = corr.random_povm(n, s + j)
             li = proto.locc_transfer_info(rho, m)
             flag_relay = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, flags[n]))
-            res.check(abs(li - corr.mutual_information(flag_relay)) < LOCC_EQUALS_J_TOL,
+            res.check(abs(li - corr.mutual_information(flag_relay)) < ROUNDING_TOL,
                       f"locc transfer != J, seed {s + j}")
-            res.check(li <= ic + CHAIN_TOL, f"locc transfer beats Ic, seed {s + j}")
+            res.check(li <= ic + ROUNDING_TOL, f"locc transfer beats Ic, seed {s + j}")
             # Relayed to random mixed states of dimension n, sum_i B_i x sigma_i is separable.
             sigmas = tuple(la.DensityMatrix(la.random_density_matrix(n, (s * 20 + j) * 4 + i), (n,))
                            for i in range(n))
             out = proto.measure_and_prepare(rho, proto.PreparedEnsembleChannel(m, sigmas))
             pt = out.mat.reshape(out.dims * 2).swapaxes(1, 3).reshape(out.mat.shape)
-            res.check(np.linalg.eigvalsh(pt)[0] >= -PPT_TOL, f"relay output not PPT, seed {s + j}")
-            res.check(corr.mutual_information(out) <= ic + CHAIN_TOL,
+            res.check(np.linalg.eigvalsh(pt)[0] >= -ROUNDING_TOL,
+                      f"relay output not PPT, seed {s + j}")
+            res.check(corr.mutual_information(out) <= ic + ROUNDING_TOL,
                       f"relay to mixed states beats Ic, seed {s + j}")
     return res
 
@@ -299,9 +270,9 @@ def suite_proto_cloner(seed: int, samples: int) -> SuiteResult:
         psi, phi = kw.example_branches(t)
         out = proto.optimal_state_dependent_cloner(psi, phi)
         s_in = np.vdot(psi.vec, phi.vec).real
-        res.check(abs(out.fidelity - _optimal_cloner_fidelity(s_in)) < CLONER_FIDELITY_TOL,
+        res.check(abs(out.fidelity - _optimal_cloner_fidelity(s_in)) < ROUNDING_TOL,
                   f"fidelity off the optimum at theta={t:.6f}")
-        res.check(abs(np.vdot(out.alpha.vec, out.beta.vec) - s_in) < CLONER_OVERLAP_TOL,
+        res.check(abs(np.vdot(out.alpha.vec, out.beta.vec) - s_in) < ROUNDING_TOL,
                   f"output overlap drifted at theta={t:.6f}")
     return res
 
@@ -316,16 +287,18 @@ def suite_proto_broadcast(seed: int, samples: int) -> SuiteResult:
         out = proto.apply_broadcast(psi, iso)
         infos = proto.recipient_infos(out)
         s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
-        res.check(infos[0] + infos[1] <= 2 * s_s + SUM_BOUND_TOL,
+        res.check(infos[0] + infos[1] <= 2 * s_s + ROUNDING_TOL,
                   f"two-recipient sum bound violated, seed {s}")
-        res.check(min(infos) <= s_s + SUM_BOUND_TOL,
-                  f"min recipient info exceeds S(rho^S), seed {s}")
+        # Data processing: a recipient alone holds at most what both hold together.
+        (i_both,) = proto.recipient_infos(la.DensityMatrix(out.mat, (2, 4)))
+        res.check(max(infos) <= i_both + ROUNDING_TOL,
+                  f"a recipient's info exceeds I(S:R1R2), seed {s}")
     for k in range(max(1, samples // 2)):
         s = seed * 12000 + k
         psi = _random_pure_pair(s)
         out = proto.apply_broadcast(psi, proto.random_broadcast_isometry(2, (2, 2, 2), 2, s + 1))
         s_s = la.von_neumann_entropy(la.partial_trace(out, [0]))
-        res.check(np.mean(proto.recipient_infos(out)) <= s_s + SUM_BOUND_TOL,
+        res.check(np.mean(proto.recipient_infos(out)) <= s_s + ROUNDING_TOL,
                   f"n=3 average bound violated, seed {s}")
     return res
 

@@ -43,7 +43,7 @@ def test_2_endpoint_exactness():
 
 
 def test_3_dual_route_agreement(run_suite):
-    # The 101-angle grid: optimizer and closed form within KW_AGREEMENT_TOL.
+    # The 101-angle grid: optimizer and closed form within ROUNDING_TOL.
     start = time.monotonic()
     res = run_suite(verify.suite_kw_agreement, seed=11, samples=100, checks=103)
     elapsed = time.monotonic() - start
@@ -52,8 +52,8 @@ def test_3_dual_route_agreement(run_suite):
 
 
 # Discord, in bits, that counts as a loss: a twelfth of the family's
-# smallest on the grid of criterion 4 (0.0122 bits at pi/80), and 1e5
-# times CHAIN_TOL, the optimizer's error bound.
+# smallest on the grid of criterion 4 (0.0122 bits at pi/80), and 1e9
+# times ROUNDING_TOL, within which the optimizer meets the closed form.
 DISCORD_MARGIN = 1e-3
 
 
@@ -65,7 +65,7 @@ def test_4_loss_without_entanglement():
         rho = kw.example_state(theta)
         worst_c = max(worst_c, kw.concurrence(rho))
         least_d = min(least_d, corr.classical_correlation(rho).discord)
-    assert worst_c <= verify.CONCURRENCE_TOL
+    assert worst_c <= verify.ROUNDING_TOL
     assert least_d > DISCORD_MARGIN
     report("4 loss without entanglement",
            f"max concurrence = {worst_c:.2e}, min discord = {least_d:.5f} bits")
@@ -73,7 +73,7 @@ def test_4_loss_without_entanglement():
 
 def test_5_pure_state_gap(run_suite):
     # 100 pure states: discord = S(rho^S), and J of the reported measurement
-    # = I^c, each within PURE_GAP_TOL.
+    # = I^c, each within ROUNDING_TOL.
     res = run_suite(verify.suite_corr_pure_gap, seed=11, samples=1000, checks=200)
     report("5 pure-state gap", f"{res.name}: {res.checks} checks")
 

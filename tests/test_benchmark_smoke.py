@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,22 @@ def test_closed_form_first_two_crossover_cycles_pass_their_checks(bench):
         out = workload.run(tracing.untraced_call, inp)
         fails, _ = workload.check(tracing.untraced_call, inp, out)
         assert fails == [], f"op {i} ({workload.kind(inp)}): {fails}"
+
+
+@pytest.mark.parametrize("name", ["family_sweep", "closed_form"])
+@pytest.mark.parametrize("offset", [5e-7, 9.9e-7])
+def test_family_check_passes_where_the_package_clips_an_eigenvalue(bench, name, offset):
+    # At pi/4 - 5e-7, rho^A's small eigenvalue, ~2.5e-13, is at or below
+    # ENTROPY_CLIP: the package's I drops it, while the benchmark's
+    # reference keeps its -q log2 q ~ 1e-11. At pi/4 - 9.9e-7 the
+    # package's I^c exceeds its I by 1.4e-12.
+    workloads, tracing = bench
+    workload = workloads.WORKLOADS[name](0)
+    theta = np.pi / 4 - offset
+    inp = theta if name == "family_sweep" else ("family", theta)
+    out = workload.run(tracing.untraced_call, inp)
+    fails, _ = workload.check(tracing.untraced_call, inp, out)
+    assert fails == []
 
 
 @pytest.mark.parametrize("workload", ["random_states", "closed_form"])

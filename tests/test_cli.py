@@ -280,7 +280,7 @@ class TestVerify:
         assert out1 == out2
 
     def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "SUM_BOUND_TOL", -1.0)
+        monkeypatch.setattr(verify, "ROUNDING_TOL", -1.0)
         code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--samples", "3")
         assert code == 2
         assert "FAIL" in out
@@ -295,13 +295,29 @@ class TestVerify:
         assert sorted(pinned) == sorted(f"verify.{suite.__name__}" for suite in verify.ALL_SUITES)
 
     def test_every_tolerance_is_read(self):
-        # Every *_TOL in verify is read there by a function, or by name in perfbench/workloads.py.
-        tree = ast.parse(Path(verify.__file__).read_text())
+        # Every *_TOL a package module defines is read by a function of the
+        # package, or by name in perfbench/workloads.py.
+        modules = {path.stem: ast.parse(path.read_text())
+                   for path in Path(verify.__file__).parent.glob("*.py")}
         bench = ast.parse((Path(__file__).parents[1] / "perfbench/workloads.py").read_text())
-        read = {node.id for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                for node in ast.walk(fn) if isinstance(node, ast.Name)}
-        read |= {node.value for node in ast.walk(bench) if isinstance(node, ast.Constant)}
-        assert [name for name in vars(verify) if name.endswith("_TOL") and name not in read] == []
+        read = {node.value for node in ast.walk(bench) if isinstance(node, ast.Constant)}
+        read |= {getattr(node, "id", getattr(node, "attr", None))
+                 for tree in modules.values() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        defined = [(stem, target.id) for stem, tree in modules.items()
+                   for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets if getattr(target, "id", "").endswith("_TOL")]
+        assert len(defined) >= 10
+        assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+    def test_every_verify_tolerance_is_the_rounding_tolerance(self):
+        # Every check holds exactly, so each suite allows rounding alone.
+        # CHAIN_TOL and ENTROPY_TOL are read by the benchmark alone, whose
+        # checks also see the eigenvalues the package clips.
+        assert verify.ROUNDING_TOL == 1e-12
+        assert {name: value for name, value in vars(verify).items()
+                if name.endswith("_TOL") and value != verify.ROUNDING_TOL} == {
+                    "CHAIN_TOL": 1e-8, "ENTROPY_TOL": 1e-9}
 
     def test_every_raises_names_its_message(self):
         # A bare pytest.raises(ValueError) passes on any fault; argument

@@ -218,7 +218,7 @@ class TestClassicalCorrelation:
             u = np.kron(la.random_unitary(2, 100 + seed), la.random_unitary(2, 200 + seed))
             rho = la.DensityMatrix(la.hermitianize(u @ mat @ u.conj().T), (2, 2))
             got = corr.classical_correlation(rho).classical_info
-            assert abs(got - bell_diagonal_classical_info(c)) <= verify.KW_AGREEMENT_TOL, seed
+            assert abs(got - bell_diagonal_classical_info(c)) <= verify.ROUNDING_TOL, seed
 
     def test_sampled_povms_beat_it_on_a_qutrit_system(self):
         # The reported I^c maximizes J over projective measurements only.

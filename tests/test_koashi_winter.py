@@ -158,7 +158,7 @@ class TestClassicalCorrelationKw:
         for seed in range(20):
             rho = la.DensityMatrix(la.random_density_matrix(4, 500 + seed, rank=rank), (2, 2))
             assert kw.classical_correlation_kw(rho) == pytest.approx(
-                classical_correlation(rho).classical_info, abs=verify.KW_AGREEMENT_TOL)
+                classical_correlation(rho).classical_info, abs=verify.ROUNDING_TOL)
 
     def test_exact_family_value(self):
         # A gap between the two routes above rounding is an optimizer or
