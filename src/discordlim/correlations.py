@@ -46,6 +46,7 @@ import numpy as np
 from .linalg import (
     ENTROPY_CLIP,
     LOG2,
+    _EPS,
     DensityMatrix,
     Povm,
     _as_dims,
@@ -55,10 +56,6 @@ from .linalg import (
     hermitianize,
     random_isometry_mat,
 )
-
-ZERO_PROB = 1e-12
-# The unit of numpy's `matrix_rank` default rule, by which a state is pure.
-_EPS = np.finfo(float).eps
 
 # Directions of the hemisphere grid, the cells refined from it, and the
 # pattern step (rad) at which a refinement stops; J is stationary at the
@@ -157,10 +154,10 @@ def _j_values(mats: np.ndarray, k: int) -> np.ndarray:
     d = mats.shape[-1]
     tr, dev = _spectra(mats)
     mean = tr[:, None] / d
-    floor = ZERO_PROB / d
+    floor = ENTROPY_CLIP / d
     ratio = dev / np.maximum(mean, floor)
-    # log1p(ratio) = log(d * val / tr). A branch with p_i <= ZERO_PROB, and
-    # eigenvalues at or below ENTROPY_CLIP of their matrix's trace,
+    # log1p(ratio) = log(d * val / tr). A branch with p_i <= ENTROPY_CLIP,
+    # and eigenvalues at or below ENTROPY_CLIP of their matrix's trace,
     # contribute nothing, as in `entropy_of_spectrum` of B_i / p_i.
     keep = (ratio > d * ENTROPY_CLIP - 1) & (mean > floor)
     logs = np.log1p(ratio, out=np.zeros(dev.shape), where=keep)

@@ -36,8 +36,16 @@ INPUT_TOL = 1e-10
 # The value POVM completeness has always had, so that no POVM accepted before is rejected.
 POVM_SUM_TOL = 1e-9
 
-# Eigenvalues below this contribute nothing to entropies.
-ENTROPY_CLIP = 1e-12
+# float64's machine epsilon, the unit of numpy's `matrix_rank` rule by
+# which `correlations._is_pure` takes a state as pure.
+_EPS = np.finfo(float).eps
+# Too small to count: an eigenvalue at or below this adds nothing to an
+# entropy, nor a branch of at most this weight to J. It is the rounding of
+# `eigvalsh` on a unit-trace matrix of dimension up to 16 (dim * eps): it
+# drops every eigenvalue `_is_pure` takes as rounding and keeps every larger
+# -q log2 q (a 1e-12 clip dropped up to 4e-11 bits). A rounding eigenvalue
+# it keeps, up to dimension 64, adds under 7e-13 bits.
+ENTROPY_CLIP = 16 * _EPS
 # Eigenvalues above this count toward a state's rank, and so toward the
 # ancilla of its purification.
 RANK_TOL = 1e-9

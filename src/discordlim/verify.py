@@ -8,7 +8,7 @@ passes with its exact check count; no test re-implements their checks.
 
 Every check is an identity or a bound that holds exactly, so only
 rounding can break one: every suite compares against ROUNDING_TOL.
-`perfbench/workloads.py` reads the four names that follow it below, for
+`perfbench/workloads.py` reads the four names bound to it below, for
 its own output checks, once at import, so those names must stay.
 """
 
@@ -29,12 +29,7 @@ from . import protocols as proto
 # passes at a tenth of this value, on seeds 0-39 at 100 samples and on
 # seeds 7, 11 and 101 at 1000 samples.
 ROUNDING_TOL = 1e-12
-KW_AGREEMENT_TOL = SUM_BOUND_TOL = ROUNDING_TOL
-# Read by the benchmark only, and looser than ROUNDING_TOL: its references keep the
-# eigenvalues at or below la.ENTROPY_CLIP that I drops (-q log2 q <= 4e-11), and
-# near theta = pi/4 - 1e-6 the package's I^c exceeds its I by up to 1.4e-12.
-CHAIN_TOL = 1e-8
-ENTROPY_TOL = 1e-9
+KW_AGREEMENT_TOL = SUM_BOUND_TOL = CHAIN_TOL = ENTROPY_TOL = ROUNDING_TOL
 
 
 @dataclass

@@ -1,8 +1,15 @@
 """Reference implementations shared by several test modules. Each is
 built from numpy alone (np.kron, index sums, eigvalsh), independent of
-the package code it checks."""
+the package code it checks. The one package name they read is
+`linalg.ENTROPY_CLIP`, the rule for what is too small to count, so that
+they drop the eigenvalues and outcomes the package drops."""
 
 import numpy as np
+
+from discordlim.linalg import ENTROPY_CLIP
+
+# sigma_x, sigma_y, sigma_z.
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
 
 
 def brute_partial_trace(mat, dims, keep):
@@ -40,9 +47,44 @@ def kron_flagged_mixture(a, b):
 
 def spectrum_bits(vals):
     """Entropy in bits of a spectrum, in the arithmetic of
-    `linalg.entropy_of_spectrum`, so that the two compare with ==."""
-    logs = np.log(vals, out=np.zeros(vals.shape), where=vals > 1e-12)
+    `linalg.entropy_of_spectrum`, its clip included, so that the two
+    compare with ==."""
+    logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
     return float(-(vals * logs).sum() / np.log(2.0))
+
+
+def projectors(direction):
+    """The two projectors (1 +- n.sigma) / 2 along a unit Bloch vector n."""
+    n_sigma = sum(c * s for c, s in zip(direction, PAULIS))
+    return (np.eye(2) + n_sigma) / 2, (np.eye(2) - n_sigma) / 2
+
+
+def kron_branches(rho, elements):
+    """B_i = Tr_A[(1 x E_i) rho] of a bipartite state for each POVM
+    element, each element lifted with np.kron and the apparatus traced out
+    by index sums."""
+    lift = np.eye(rho.dims[0])
+    return [brute_partial_trace(np.kron(lift, e) @ rho.mat, rho.dims, [0]) for e in elements]
+
+
+def post_measurement_ensemble(rho, elements):
+    """(p_i, B_i / p_i) per outcome of the branches; an outcome with
+    p_i <= ENTROPY_CLIP is dropped."""
+    ens = []
+    for b in kron_branches(rho, elements):
+        p = np.trace(b).real
+        if p > ENTROPY_CLIP:
+            ens.append((p, b / p))
+    return ens
+
+
+def oracle_j(rho, elements):
+    """J = S(rho^S) - sum_i p_i S(B_i / p_i) in bits, one outcome at a time:
+    an eigvalsh of each conditional state of the ensemble."""
+    j = spectrum_bits(np.linalg.eigvalsh(brute_partial_trace(rho.mat, rho.dims, [0])))
+    for p, cond in post_measurement_ensemble(rho, elements):
+        j -= p * spectrum_bits(np.linalg.eigvalsh((cond + cond.conj().T) / 2))
+    return j
 
 
 def four_by_four_cloned_info(alpha, beta):

@@ -39,7 +39,21 @@ def test_2_endpoint_exactness():
         assert r1[key] == pytest.approx(0.0, abs=1e-6)
     assert r0["discord"] == pytest.approx(0.0, abs=1e-6)
     assert r1["discord"] == pytest.approx(0.0, abs=1e-6)
-    report("2 endpoints", "theta=0 gives (1,1,0,1); theta=pi/4 gives zeros")
+    # Near either end an eigenvalue or a branch weight of the state nears
+    # zero. evaluate_point raises unless the optimizer and KW routes agree
+    # within ROUNDING_TOL; discord >= 0, and I = h((1 + sin 2theta)/2).
+    worst_d, worst_i = 0.0, 0.0
+    offsets = np.logspace(-9, -3, 13)
+    for theta in (*offsets, *(np.pi / 4 - offsets)):
+        r = evaluate_point(theta)
+        p = (1.0 + np.sin(2.0 * theta)) / 2.0
+        h = -sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+        worst_d = min(worst_d, r["discord"])
+        worst_i = max(worst_i, abs(r["I"] - h))
+    assert worst_d >= -verify.ROUNDING_TOL
+    assert worst_i <= verify.ROUNDING_TOL
+    report("2 endpoints", "theta=0 gives (1,1,0,1); theta=pi/4 gives zeros; "
+           f"within 1e-3 of either: discord >= {worst_d:.1e}, |I - h| <= {worst_i:.1e}")
 
 
 def test_3_dual_route_agreement(run_suite):

@@ -46,15 +46,19 @@ def test_closed_form_first_two_crossover_cycles_pass_their_checks(bench):
 
 
 @pytest.mark.parametrize("name", ["family_sweep", "closed_form"])
-@pytest.mark.parametrize("offset", [5e-7, 9.9e-7])
-def test_family_check_passes_where_the_package_clips_an_eigenvalue(bench, name, offset):
-    # At pi/4 - 5e-7, rho^A's small eigenvalue, ~2.5e-13, is at or below
-    # ENTROPY_CLIP: the package's I drops it, while the benchmark's
-    # reference keeps its -q log2 q ~ 1e-11. At pi/4 - 9.9e-7 the
-    # package's I^c exceeds its I by 1.4e-12.
+@pytest.mark.parametrize("theta", [pytest.param(np.pi / 4 - 5e-7, id="5e-07"),
+                                   pytest.param(np.pi / 4 - 9.9e-7, id="9.9e-07"),
+                                   pytest.param(1e-6, id="theta-1e-06")])
+def test_family_check_passes_where_the_package_clips_an_eigenvalue(bench, name, theta):
+    # Near either end of the family an eigenvalue or a branch weight falls
+    # to ~1e-12. Entropies that clipped there, not at ENTROPY_CLIP
+    # (~3.6e-15), fail these checks at ROUNDING_TOL: at pi/4 - 5e-7 they
+    # drop rho^A's eigenvalue ~2.5e-13, whose -q log2 q ~ 1e-11 the
+    # reference h((1 + sin 2theta)/2) keeps; at pi/4 - 9.9e-7 they put I^c
+    # above I by 1.4e-12; at theta = 1e-6 they put the optimizer and KW
+    # routes 1.9e-11 apart.
     workloads, tracing = bench
     workload = workloads.WORKLOADS[name](0)
-    theta = np.pi / 4 - offset
     inp = theta if name == "family_sweep" else ("family", theta)
     out = workload.run(tracing.untraced_call, inp)
     fails, _ = workload.check(tracing.untraced_call, inp, out)

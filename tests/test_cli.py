@@ -295,8 +295,9 @@ class TestVerify:
         assert sorted(pinned) == sorted(f"verify.{suite.__name__}" for suite in verify.ALL_SUITES)
 
     def test_every_tolerance_is_read(self):
-        # Every *_TOL a package module defines is read by a function of the
-        # package, or by name in perfbench/workloads.py.
+        # Every *_TOL, and every rounding constant (*_CLIP, *_SLACK, *_PROB),
+        # a package module defines is read by a function of the package, or
+        # by name in perfbench/workloads.py.
         modules = {path.stem: ast.parse(path.read_text())
                    for path in Path(verify.__file__).parent.glob("*.py")}
         bench = ast.parse((Path(__file__).parents[1] / "perfbench/workloads.py").read_text())
@@ -306,18 +307,17 @@ class TestVerify:
                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
         defined = [(stem, target.id) for stem, tree in modules.items()
                    for node in tree.body if isinstance(node, ast.Assign)
-                   for target in node.targets if getattr(target, "id", "").endswith("_TOL")]
+                   for target in node.targets
+                   if getattr(target, "id", "").endswith(("_TOL", "_CLIP", "_SLACK", "_PROB"))]
         assert len(defined) >= 10
         assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
 
     def test_every_verify_tolerance_is_the_rounding_tolerance(self):
-        # Every check holds exactly, so each suite allows rounding alone.
-        # CHAIN_TOL and ENTROPY_TOL are read by the benchmark alone, whose
-        # checks also see the eigenvalues the package clips.
+        # Every check holds exactly, so each suite, and each benchmark check
+        # that reads a verify name, allows rounding alone.
         assert verify.ROUNDING_TOL == 1e-12
         assert {name: value for name, value in vars(verify).items()
-                if name.endswith("_TOL") and value != verify.ROUNDING_TOL} == {
-                    "CHAIN_TOL": 1e-8, "ENTROPY_TOL": 1e-9}
+                if name.endswith("_TOL") and value != verify.ROUNDING_TOL} == {}
 
     def test_every_raises_names_its_message(self):
         # A bare pytest.raises(ValueError) passes on any fault; argument

@@ -7,13 +7,11 @@ from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim import verify
 from discordlim.koashi_winter import example_state
-from references import brute_partial_trace
+from references import PAULIS, kron_branches, post_measurement_ensemble
 
 BELL = la.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).to_density()
 BASIS_POVM = corr.qubit_projective_povm(0.0, 0.0)
 
-
-PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
 # Rows: c of Phi+, Phi-, Psi+, Psi- in 1/4 (1 + sum_i c_i sigma_i x sigma_i).
 BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
 
@@ -27,25 +25,6 @@ def bell_diagonal_classical_info(c):
 
 def random_two_qubit_state(seed):
     return la.DensityMatrix(la.random_density_matrix(4, seed), (2, 2))
-
-
-def kron_branches(rho, m):
-    """Reference for the branch contraction: B_i = Tr_A[(1 x E_i) rho],
-    each element lifted with np.kron and the apparatus traced out by index
-    sums."""
-    lift = np.eye(rho.dims[0])
-    return [brute_partial_trace(np.kron(lift, e) @ rho.mat, rho.dims, [0]) for e in m.elements]
-
-
-def post_measurement_ensemble(rho, m):
-    """(probability, conditional system state) per outcome, from the
-    reference branches; near-zero-probability outcomes dropped."""
-    ens = []
-    for b in kron_branches(rho, m):
-        p = np.trace(b).real
-        if p > corr.ZERO_PROB:
-            ens.append((p, b / p))
-    return ens
 
 
 def full_search(rho):
@@ -90,14 +69,14 @@ class TestMutualInformation:
 
 class TestPostMeasurementEnsemble:
     def test_classical_state_basis_measurement(self):
-        ens = post_measurement_ensemble(example_state(0.0), BASIS_POVM)
+        ens = post_measurement_ensemble(example_state(0.0), BASIS_POVM.elements)
         assert [p for p, _ in ens] == pytest.approx([0.5, 0.5])
         assert np.allclose(ens[0][1], np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(ens[1][1], np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_trivial_povm(self):
         rho = random_two_qubit_state(3)
-        ens = post_measurement_ensemble(rho, corr.Povm((np.eye(2),)))
+        ens = post_measurement_ensemble(rho, (np.eye(2),))
         assert len(ens) == 1
         p, cond = ens[0]
         assert p == pytest.approx(1.0, abs=1e-12)
@@ -107,7 +86,7 @@ class TestPostMeasurementEnsemble:
         # Hand-expanded matrix elements: measuring |0><0| on the apparatus
         # picks out the first column amplitudes of each branch.
         theta = np.pi / 8
-        ens = post_measurement_ensemble(example_state(theta), BASIS_POVM)
+        ens = post_measurement_ensemble(example_state(theta), BASIS_POVM.elements)
         c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
         assert [p for p, _ in ens] == pytest.approx([0.5, 0.5], abs=1e-12)
         assert np.allclose(ens[0][1], np.diag([c2, s2]), atol=1e-12)
@@ -120,7 +99,7 @@ class TestPostMeasurementEnsemble:
                     rho = la.DensityMatrix(la.random_density_matrix(2 * d_s, seed), (d_s, 2))
                     m = corr.random_povm(k, seed + 300)
                     got = corr._branch_states(rho, m.elements)
-                    assert np.max(np.abs(got - kron_branches(rho, m))) <= 1e-14
+                    assert np.max(np.abs(got - kron_branches(rho, m.elements))) <= 1e-14
 
 
 class TestAccessibleInformation:

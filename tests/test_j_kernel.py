@@ -12,27 +12,12 @@ import discordlim
 from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim.koashi_winter import example_state
+from references import PAULIS, oracle_j, projectors
 
-PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
-SIGMA = (np.eye(2), *PAULI)
+SIGMA = (np.eye(2), *PAULIS)
 SWEEP = np.linspace(0.0, np.pi / 4, 200)
 # (d_s, rank): qubit and qutrit systems, pure, rank-2 and full-rank states.
 CLASSES = [(d_s, rank) for d_s in (2, 3) for rank in (1, 2, 2 * d_s)]
-
-
-def oracle_j(rho, direction):
-    """J along one apparatus direction, one outcome at a time: the branch
-    einsum, then eigvalsh of each normalized conditional state."""
-    d_s = rho.dims[0]
-    r = rho.mat.reshape(d_s, 2, d_s, 2)
-    n_sigma = sum(c * p for c, p in zip(direction, PAULI))
-    j = la.von_neumann_entropy(np.trace(r, axis1=1, axis2=3))
-    for sign in (1, -1):
-        b = np.einsum("iajb,ba->ij", r, (np.eye(2) + sign * n_sigma) / 2)
-        p = np.trace(b).real
-        if p > corr.ZERO_PROB:
-            j -= p * la.entropy_of_spectrum(np.linalg.eigvalsh(la.hermitianize(b) / p))
-    return j
 
 
 def random_state(d_s, rank, seed):
@@ -55,7 +40,7 @@ class TestKernel:
             rho = random_state(d_s, rank, 100 * seed + 10 * d_s + rank)
             dirs = unit_vectors(40, seed)
             got = corr._kernel(rho)[0](dirs)
-            want = np.array([oracle_j(rho, n) for n in dirs])
+            want = np.array([oracle_j(rho, projectors(n)) for n in dirs])
             assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_example_state_matches_oracle(self):
@@ -63,7 +48,7 @@ class TestKernel:
             rho = example_state(theta)
             dirs = unit_vectors(20, 5)
             got = corr._kernel(rho)[0](dirs)
-            want = np.array([oracle_j(rho, n) for n in dirs])
+            want = np.array([oracle_j(rho, projectors(n)) for n in dirs])
             assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("d_s,rank", CLASSES)
