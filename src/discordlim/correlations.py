@@ -25,10 +25,11 @@ A pure state needs no search. Every measurement has J <= S(rho^S), since
 the conditional entropies are >= 0, and a rank-1 projective measurement
 on a pure state leaves pure system branches, so every such measurement
 attains it: I^c = S(rho^S) (Henderson & Vedral, J. Phys. A 34, 6899
-(2001)). The optimizer takes a state as pure by numpy's `matrix_rank`
-rule on the spectrum the `DensityMatrix` keeps, and reports the S(rho^S)
-it keeps, with the sigma_z measurement; it neither contracts nor
-searches the state.
+(2001)). The optimizer takes a state as pure when every eigenvalue but
+the largest of the spectrum the `DensityMatrix` keeps is at most
+ENTROPY_CLIP in magnitude, the rule by which the entropies drop them,
+and reports the S(rho^S) it keeps, with the sigma_z measurement; it
+neither contracts nor searches the state.
 
 The reported I^c is the maximum of J over projective measurements. For
 a qubit system at rank <= 2 it equals the Koashi-Winter optimum over
@@ -46,7 +47,6 @@ import numpy as np
 from .linalg import (
     ENTROPY_CLIP,
     LOG2,
-    _EPS,
     DensityMatrix,
     Povm,
     _as_dims,
@@ -372,8 +372,12 @@ def accessible_information(rho: DensityMatrix, m: Povm) -> float:
 def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     """Two-outcome projective measurement along the Bloch direction
     (theta_m, phi_m)."""
-    if not (math.isfinite(theta_m) and math.isfinite(phi_m)):
-        raise ValueError(f"measurement angles must be finite, got ({theta_m}, {phi_m})")
+    try:
+        finite = math.isfinite(theta_m) and math.isfinite(phi_m)
+    except TypeError:  # None, a string or a complex number
+        finite = False
+    if not finite:
+        raise ValueError(f"measurement angles must be finite reals, got ({theta_m!r}, {phi_m!r})")
     v = np.array([np.cos(theta_m / 2), np.exp(1j * phi_m) * np.sin(theta_m / 2)])
     p = np.outer(v, v.conj())
     return Povm((p, np.eye(2) - p))
@@ -394,12 +398,12 @@ def random_povm(n_outcomes: int, seed: int) -> Povm:
 
 
 def _is_pure(rho: DensityMatrix) -> bool:
-    """Rank 1 by numpy's `matrix_rank` default rule, on the spectrum `rho`
-    keeps: every eigenvalue but the largest is at most dim * eps times it
-    in magnitude. The spectrum ascends, so the largest such magnitude is
-    the second eigenvalue or minus the first."""
+    """Rank 1 on the spectrum `rho` keeps: every eigenvalue but the largest
+    is at most ENTROPY_CLIP in magnitude, so the entropies drop them all.
+    The spectrum ascends, so the largest such magnitude is the second
+    eigenvalue or minus the first."""
     vals = rho._spectrum
-    return max(vals[-2], -vals[0]) <= rho.dim * _EPS * vals[-1]
+    return max(vals[-2], -vals[0]) <= ENTROPY_CLIP
 
 
 def classical_correlation(rho: DensityMatrix) -> CorrelationReport:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    RANK_TOL,
+    ENTROPY_CLIP,
+    INPUT_TOL,
     DensityMatrix,
     StateVector,
     _bipartite_dims,
@@ -38,16 +39,17 @@ def _branch_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
 
 
-# Angles within THETA_SLACK of [0, pi/4] count as inside it: pi/4 is a
-# rounded float, and an angle given in units of pi is rounded once more.
-THETA_SLACK = 1e-12
-
-
 def _check_theta(theta: float) -> float:
     """The angle clamped to [0, pi/4], so that a negative branch overlap
-    never reaches the family; raises outside THETA_SLACK of that range."""
-    if not -THETA_SLACK <= theta <= np.pi / 4 + THETA_SLACK:
-        raise ValueError(f"theta={theta} outside [0, pi/4]")
+    never reaches the family. Angles within INPUT_TOL of that range count
+    as inside it: pi/4 is a rounded float, and an angle given in units of
+    pi is rounded once more. Raises outside it, and on a non-real angle."""
+    try:
+        inside = -INPUT_TOL <= theta <= np.pi / 4 + INPUT_TOL
+    except TypeError:  # None, a string or a complex number
+        inside = False
+    if not inside:
+        raise ValueError(f"theta={theta!r} outside [0, pi/4]")
     return min(max(theta, 0.0), np.pi / 4)
 
 
@@ -96,8 +98,8 @@ def _formation(c: float) -> float:
 def classical_correlation_kw(rho: DensityMatrix) -> float:
     """I^c = S(rho^S) - E_F(rho^SC) with C the purifying system.
 
-    Requires a qubit system and rank <= 2 (eigenvalues above RANK_TOL) so
-    that C is (at most) a qubit.
+    Requires a qubit system and rank <= 2 (eigenvalues above ENTROPY_CLIP,
+    the ones the entropies count) so that C is (at most) a qubit.
     """
     _expect(rho, "rho", DensityMatrix)
     if _bipartite_dims(rho.dims)[0] != 2:
@@ -114,7 +116,7 @@ def _kw(mat: np.ndarray, dims: tuple[int, int], s_s: float) -> float:
     # rank, so its ancilla dimension is the checked rank.
     psi, rank = _purification(mat)
     if rank > 2:
-        raise ValueError(f"state rank exceeds 2 (eigenvalues above {RANK_TOL}); "
+        raise ValueError(f"state rank exceeds 2 (eigenvalues above {ENTROPY_CLIP:.3g}); "
                          "purifying system is not a qubit")
     if rank == 1:
         # Pure input: purifying system is trivial and E_F vanishes.

@@ -7,18 +7,21 @@ All informational quantities are in bits (log base 2).
 The input contract of every public name is checked once, where input
 enters: array entries are finite, every size or count (dims, a rank, a
 number of outcomes, d_in and d_out) is a positive integer, every seed a
-non-negative one (`_as_seed`), an argument typed as a value type is one
-(`_expect`; `von_neumann_entropy` also takes a raw matrix), and anything
-else raises ValueError naming the fault before numpy can warn; the CLI
-exits 2 on it. The four value types, `DensityMatrix`, `StateVector`,
-`Povm` and `BroadcastIsometry`, each make one read-only copy of their
-input (`_owned`, which rejects non-finite entries) and check it; a
-density matrix and each POVM element are Hermitian, then PSD, within
-INPUT_TOL. Inside the package, states pass as raw arrays and
-are not checked again. A `DensityMatrix` keeps the spectrum of its PSD
-check, so `von_neumann_entropy` of one makes no eigensolve; a bipartite
-one keeps S(rho^S) and S(rho^A) from the first call that needs them, for I
-and I^c_KW alike (`_marginals`); a copy computes them again.
+non-negative one (`_as_seed`), every angle or probability a real number
+in its range, an argument typed as a value type is one (`_expect`;
+`von_neumann_entropy` also takes a raw matrix), and anything else raises
+ValueError naming the fault before numpy can warn; the CLI exits 2 on
+it. The four value types, `DensityMatrix`, `StateVector`, `Povm` and
+`BroadcastIsometry`, each make one read-only copy of their input
+(`_owned`, which rejects non-finite entries) and check it; a density
+matrix and each POVM element are Hermitian, then PSD, within INPUT_TOL,
+the one slack on caller input. Inside the package, states pass as raw
+arrays and are not checked again, and ENTROPY_CLIP is the one rule for
+what they treat as zero: in an entropy, a rank and a purity test. A
+`DensityMatrix` keeps the spectrum of its PSD check, so
+`von_neumann_entropy` of one makes no eigensolve; a bipartite one keeps
+S(rho^S) and S(rho^A) from the first call that needs them, for I and
+I^c_KW alike (`_marginals`); a copy computes them again.
 """
 
 from __future__ import annotations
@@ -31,26 +34,19 @@ from functools import cached_property
 import numpy as np
 
 # How far caller input may be off through rounding: a value type's
-# Hermiticity, trace, PSD, norm and isometry checks, and the cloner's overlap.
+# Hermiticity, trace, PSD, norm and isometry checks, the cloner's overlap,
+# and a probability or family angle just outside its range, which is clamped.
 INPUT_TOL = 1e-10
 # The value POVM completeness has always had, so that no POVM accepted before is rejected.
 POVM_SUM_TOL = 1e-9
-
-# float64's machine epsilon, the unit of numpy's `matrix_rank` rule by
-# which `correlations._is_pure` takes a state as pure.
-_EPS = np.finfo(float).eps
-# Too small to count: an eigenvalue at or below this adds nothing to an
-# entropy, nor a branch of at most this weight to J. It is the rounding of
-# `eigvalsh` on a unit-trace matrix of dimension up to 16 (dim * eps): it
-# drops every eigenvalue `_is_pure` takes as rounding and keeps every larger
-# -q log2 q (a 1e-12 clip dropped up to 4e-11 bits). A rounding eigenvalue
-# it keeps, up to dimension 64, adds under 7e-13 bits.
-ENTROPY_CLIP = 16 * _EPS
-# Eigenvalues above this count toward a state's rank, and so toward the
-# ancilla of its purification.
-RANK_TOL = 1e-9
-# A computed probability may leave [0, 1] by this rounding; binary_entropy clips it back.
-PROB_SLACK = 1e-12
+# What a computed spectrum or vector treats as zero: an eigenvalue at or
+# below this adds nothing to an entropy, nor a branch of at most this weight
+# to J; it does not count toward a state's rank (`purify`, the KW route),
+# nor against its purity (`correlations._is_pure`). It is the rounding of
+# `eigvalsh` on a unit-trace matrix of dimension up to 16 (16 eps), and
+# keeps every larger -q log2 q (a 1e-12 clip dropped up to 4e-11 bits). A
+# rounding eigenvalue it keeps, up to dimension 64, adds under 7e-13 bits.
+ENTROPY_CLIP = 16 * np.finfo(float).eps
 
 LOG2 = np.log(2.0)
 
@@ -203,7 +199,10 @@ class Povm(_Rebuilt):
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        elements = tuple(self.elements)
+        try:
+            elements = tuple(self.elements)
+        except TypeError:  # None, or another non-sequence
+            elements = ()
         shape = np.shape(elements[0]) if elements else ()
         if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
                 or any(np.shape(e) != shape for e in elements)):
@@ -312,8 +311,12 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), in bits."""
-    if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    try:
+        inside = -INPUT_TOL <= p <= 1 + INPUT_TOL
+    except TypeError:  # None, a string or a complex number
+        inside = False
+    if not inside:
+        raise ValueError(f"probability {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return entropy_of_spectrum(np.array([p, 1.0 - p]))
 
@@ -321,7 +324,8 @@ def binary_entropy(p: float) -> float:
 def purify(rho: DensityMatrix) -> StateVector:
     """Purification |Psi> = sum_k sqrt(lam_k) |e_k>|k>, ancilla ordered by
     descending eigenvalue; ancilla dimension equals the rank of rho (the
-    eigenvalues above RANK_TOL; the rest are dropped)."""
+    eigenvalues above ENTROPY_CLIP, the ones its entropy counts; the rest
+    are dropped)."""
     _expect(rho, "rho", DensityMatrix)
     psi, rank = _purification(rho.mat)
     return StateVector(psi, rho.dims + (rank,))
@@ -332,7 +336,7 @@ def _purification(mat: np.ndarray) -> tuple[np.ndarray, int]:
     space x ancilla, and the ancilla dimension."""
     vals, vecs = np.linalg.eigh(mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rank = max(1, np.count_nonzero(vals > RANK_TOL))
+    rank = max(1, np.count_nonzero(vals > ENTROPY_CLIP))
     psi = (vecs[:, :rank] * np.sqrt(np.maximum(vals[:rank], 0.0))).reshape(mat.shape[0] * rank)
     return psi / _norm(psi), rank
 

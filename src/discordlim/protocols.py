@@ -24,6 +24,7 @@ import numpy as np
 from .correlations import _branch_states, accessible_information
 from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
 from .linalg import (
+    ENTROPY_CLIP,
     INPUT_TOL,
     BroadcastIsometry,
     DensityMatrix,
@@ -41,8 +42,6 @@ from .linalg import (
 
 CROSSOVER_BRACKET = (0.05 * np.pi, 0.15 * np.pi)
 CROSSOVER_TOL = 1e-6
-# |psi psi> and |phi phi> closer than this are one input: the cloner plane has one direction.
-IDENTICAL_INPUTS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,11 @@ class PreparedEnsembleChannel:
     prepared: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prepared", tuple(self.prepared))
+        try:
+            prepared = tuple(self.prepared)
+        except TypeError:  # None, or another non-sequence: no state per outcome
+            prepared = ()
+        object.__setattr__(self, "prepared", prepared)
         _expect(self.measurement, "measurement", Povm)
         for sigma in self.prepared:
             _expect(sigma, "prepared state", DensityMatrix)
@@ -117,13 +120,14 @@ def optimal_state_dependent_cloner(psi: StateVector, phi: StateVector) -> Cloner
 def _clone(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cloner on raw qubit vectors whose overlap the caller has
     checked: (alpha, beta). e1 and e2 are the unit bisector and difference
-    of |psi psi> and |phi phi>."""
+    of |psi psi> and |phi phi>; a difference of norm at most ENTROPY_CLIP
+    is rounding, and the inputs are one state."""
     s = min(max(0.0, np.vdot(psi, phi).real), 1.0)
     pp = (psi[:, None] * psi).ravel()
     ff = (phi[:, None] * phi).ravel()
     diff = pp - ff
     nd = _norm(diff)
-    if nd < IDENTICAL_INPUTS_TOL:
+    if nd <= ENTROPY_CLIP:
         return pp, pp  # identical inputs: perfect cloning
     e1 = (pp + ff) / _norm(pp + ff)
     e2 = diff / nd

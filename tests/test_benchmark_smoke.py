@@ -73,3 +73,15 @@ def test_paired_ab_reads_a_tree_against_itself_bit_identical(workload):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert "outputs bit-identical in 18/18 ops" in out.stdout
+
+
+def test_paired_ab_exits_quietly_when_stdout_closes():
+    # `paired_ab.py ... | head`: the reader is gone before the report is
+    # written, and the tool ends with status 0 and no traceback.
+    with subprocess.Popen([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
+                           str(ROOT), "--ops", "2"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 0
+    assert err == b""

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from discordlim import cli, verify
+from discordlim import linalg as la
 from discordlim.cli import CSV_HEADER, UsageError, evaluate_point, format_csv, main, sweep_rows
-from discordlim.koashi_winter import THETA_SLACK, example_state
+from discordlim.koashi_winter import example_state
 
 
 def run_cli(capsys, *argv):
@@ -38,8 +39,8 @@ class TestPoint:
     def test_theta_range_is_the_library_check(self, capsys):
         # One range, with one slack: what example_state accepts the CLI
         # takes, and what it rejects is a usage error with its message.
-        for theta, ok in ((np.pi / 4 + THETA_SLACK / 2, True), (-THETA_SLACK / 2, True),
-                          (np.pi / 4 + 2 * THETA_SLACK, False), (-2 * THETA_SLACK, False)):
+        for theta, ok in ((np.pi / 4 + la.INPUT_TOL / 2, True), (-la.INPUT_TOL / 2, True),
+                          (np.pi / 4 + 2 * la.INPUT_TOL, False), (-2 * la.INPUT_TOL, False)):
             try:
                 example_state(theta)
                 message = None
@@ -213,18 +214,19 @@ class TestSweep:
                 assert r[key] >= -1e-8
             assert r["diff"] == pytest.approx(r["Ic"] - r["I_clone"], abs=1e-12)
 
-    @pytest.mark.parametrize("bounds", ((0.1, np.pi / 4 + 2 * THETA_SLACK), (-2 * THETA_SLACK, 0.1),
-                                        (0.2, 0.1), (np.nan, 0.1)))
+    @pytest.mark.parametrize("bounds", ((0.1, np.pi / 4 + 2 * la.INPUT_TOL),
+                                        (-2 * la.INPUT_TOL, 0.1), (0.2, 0.1), (np.nan, 0.1)))
     def test_sweep_rows_rejects_range(self, bounds):
         with pytest.raises(UsageError, match="need 0 <= theta-min < theta-max <= pi/4"):
             sweep_rows(*bounds, 5)
 
     def test_rows_record_the_angle_the_library_clamps(self):
-        # An angle within THETA_SLACK outside [0, pi/4] is computed at the
+        # An angle within INPUT_TOL outside [0, pi/4] is computed at the
         # endpoint, so its row records the endpoint.
-        for given, endpoint in ((-THETA_SLACK / 2, 0.0), (np.pi / 4 + THETA_SLACK / 2, np.pi / 4)):
+        for given, endpoint in ((-la.INPUT_TOL / 2, 0.0),
+                                (np.pi / 4 + la.INPUT_TOL / 2, np.pi / 4)):
             assert evaluate_point(given) == evaluate_point(endpoint)
-        rows = sweep_rows(-THETA_SLACK / 2, np.pi / 4 + THETA_SLACK / 2, 2)
+        rows = sweep_rows(-la.INPUT_TOL / 2, np.pi / 4 + la.INPUT_TOL / 2, 2)
         assert [r["theta"] for r in rows] == [0.0, np.pi / 4]
 
     def test_sweep_rows_needs_two_steps(self):
@@ -311,6 +313,19 @@ class TestVerify:
                    if getattr(target, "id", "").endswith(("_TOL", "_CLIP", "_SLACK", "_PROB"))]
         assert len(defined) >= 10
         assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+    def test_the_library_has_three_rounding_names(self):
+        # Outside verify, what counts as zero is ENTROPY_CLIP, slack on
+        # caller input is INPUT_TOL, and POVM completeness keeps its own
+        # value; the other two names are search stop widths, in radians.
+        modules = {path.stem: ast.parse(path.read_text())
+                   for path in Path(verify.__file__).parent.glob("*.py") if path.stem != "verify"}
+        defined = {f"{stem}.{target.id}" for stem, tree in modules.items()
+                   for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets
+                   if getattr(target, "id", "").endswith(("_TOL", "_CLIP", "_SLACK", "_PROB"))}
+        assert defined == {"linalg.INPUT_TOL", "linalg.POVM_SUM_TOL", "linalg.ENTROPY_CLIP",
+                           "correlations.REFINE_STEP_TOL", "protocols.CROSSOVER_TOL"}
 
     def test_every_verify_tolerance_is_the_rounding_tolerance(self):
         # Every check holds exactly, so each suite, and each benchmark check

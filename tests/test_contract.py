@@ -78,6 +78,7 @@ ROWS = [
     ("Povm", "non-square", ((np.ones((2, 3)) / 2,),), SQUARE),
     ("Povm", "mixed-sizes", ((HALF, np.eye(3) / 2),), SQUARE),
     ("Povm", "scalar", ((1.0,),), SQUARE),
+    ("Povm", "none", (None,), SQUARE),
     ("Povm", "empty", ((np.zeros((0, 0)),),), SQUARE),
     ("Povm", "incomplete", ((HALF,),), "POVM elements do not sum to the identity"),
     *[("Povm", f"{bad}", ((np.diag([1.0, bad]), np.diag([0.0, 1.0])),),
@@ -110,7 +111,8 @@ ROWS = [
     ("von_neumann_entropy", "negative", (np.diag([2.0, -1.0]),),
      "density matrix has a significantly negative eigenvalue"),
     ("von_neumann_entropy", "not-square", (np.array([0.5, 0.5]),), "density matrix must be square"),
-    *[("binary_entropy", f"{p}", (p,), r"outside \[0, 1\]") for p in (1.5, -0.5, np.nan)],
+    *[("binary_entropy", f"{p!r}", (p,), r"outside \[0, 1\]")
+      for p in (1.5, -0.5, np.nan, "0.5", 0.5 + 0j)],
     *[("random_pure_state", f"dim-{dim}", (dim, 0), "dim must be positive integers")
       for dim in (2.5, 0)],
     ("random_unitary", "dim-0", (0, 0), "d_in and d_out must be positive integers"),
@@ -125,14 +127,14 @@ ROWS = [
     ("locc_transfer_info", "apparatus-mismatch", (QUBIT_QUTRIT, Z),
      "POVM dimension does not match the apparatus"),
     *[("qubit_projective_povm", f"{angles}", angles, "measurement angles must be finite")
-      for angles in ((0.1, np.inf), (np.inf, 0.0), (np.nan, 0.0))],
+      for angles in ((0.1, np.inf), (np.inf, 0.0), (np.nan, 0.0), ("a", 0.0), (1j, 0.0))],
     ("random_povm", "one-outcome", (1, 0), "rank-1 qubit POVM needs at least 2 outcomes"),
     ("random_povm", "non-integral", (2.5, 0), "n_outcomes must be positive integers"),
     ("classical_correlation", "qutrit-apparatus", (QUBIT_QUTRIT,),
      "measurement optimizer requires a qubit apparatus"),
-    *[("example_state", f"{theta}", (theta,), THETA) for theta in (-0.1, np.pi / 2, np.nan)],
-    *[("example_branches", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan)],
-    *[("cloning_recipient_info", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan)],
+    *[("example_state", f"{theta}", (theta,), THETA) for theta in (-0.1, np.pi / 2, np.nan, None)],
+    *[("example_branches", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan, None)],
+    *[("cloning_recipient_info", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan, None)],
     *[(name, f"{rho.dims}", (rho,), "two qubits")
       for name in ("concurrence", "entanglement_of_formation") for rho in (ONE_QUBIT, QUQUART)],
     ("classical_correlation_kw", "rank-4",
@@ -141,6 +143,8 @@ ROWS = [
      (dl.DensityMatrix(dl.random_density_matrix(6, 9, 2), (3, 2)),),
      "the system factor must be a qubit"),
     ("PreparedEnsembleChannel", "outcome-count", (Z, (ONE_QUBIT,)),
+     "one prepared state per measurement outcome required"),
+    ("PreparedEnsembleChannel", "prepared-none", (Z, None),
      "one prepared state per measurement outcome required"),
     ("PreparedEnsembleChannel", "prepared-dims",
      (Z, (ONE_QUBIT, dl.DensityMatrix(np.eye(3) / 3, (3,)))),

@@ -247,21 +247,40 @@ class TestPureStateCertificate:
             assert all(np.array_equal(e, f) for e, f in zip(rep.measurement.elements,
                                                             BASIS_POVM.elements))
 
-    @pytest.mark.parametrize("d_s", [2, 3])
-    def test_a_state_just_above_the_rank_rule_is_searched(self, d_s, monkeypatch):
-        # Second eigenvalue 4 dim eps: four times the rule's bound, and far
-        # above the eigensolver's ~eps rounding.
+    @staticmethod
+    def rank_two(d_s, lam):
+        """A (d_s, 2) state with eigenvalues 1 - lam and lam, on a seeded
+        random pair of eigenvectors."""
         dim = 2 * d_s
-        lam = 4 * dim * np.finfo(float).eps
         u = la.random_unitary(dim, 31 + d_s)
         mat = (u[:, :2] * [1 - lam, lam]) @ u[:, :2].conj().T
-        rho = la.DensityMatrix(la.hermitianize(mat), (d_s, 2))
-        assert rho._spectrum[-2] > dim * np.finfo(float).eps * rho._spectrum[-1]
+        return la.DensityMatrix(la.hermitianize(mat), (d_s, 2))
+
+    @staticmethod
+    def refine_calls(rho, monkeypatch):
         calls = []
         refine = corr._refine
         monkeypatch.setattr(corr, "_refine", lambda *a: calls.append(a) or refine(*a))
-        corr.classical_correlation(rho)
-        assert len(calls) == 1
+        rep = corr.classical_correlation(rho)
+        return rep, len(calls)
+
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_a_state_just_above_the_rank_rule_is_searched(self, d_s, monkeypatch):
+        # Second eigenvalue 4 ENTROPY_CLIP: one the entropies count, so
+        # the state is not pure.
+        rho = self.rank_two(d_s, 4 * la.ENTROPY_CLIP)
+        assert rho._spectrum[-2] > la.ENTROPY_CLIP
+        assert self.refine_calls(rho, monkeypatch)[1] == 1
+
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_a_state_just_below_the_rank_rule_is_certified(self, d_s, monkeypatch):
+        # Second eigenvalue ENTROPY_CLIP / 4: rounding, which the entropies
+        # drop, so the certificate's S(rho^S) is the searched optimum.
+        rho = self.rank_two(d_s, la.ENTROPY_CLIP / 4)
+        assert max(rho._spectrum[-2], -rho._spectrum[0]) <= la.ENTROPY_CLIP
+        rep, calls = self.refine_calls(rho, monkeypatch)
+        assert calls == 0
+        assert abs(rep.classical_info - full_search(rho)) <= verify.ROUNDING_TOL
 
 
 class TestOptimizerProperties:

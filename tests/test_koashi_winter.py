@@ -67,8 +67,8 @@ class TestExampleState:
 
     def test_angles_within_the_slack_are_the_endpoints(self):
         # Below 0 the branch overlap sin(2 theta) would turn negative.
-        for theta, end in ((-kw.THETA_SLACK / 2, 0.0),
-                           (np.pi / 4 + kw.THETA_SLACK / 2, np.pi / 4)):
+        for theta, end in ((-la.INPUT_TOL / 2, 0.0),
+                           (np.pi / 4 + la.INPUT_TOL / 2, np.pi / 4)):
             assert (kw.example_state(theta).mat == kw.example_state(end).mat).all()
             for got, want in zip(kw.example_branches(theta), kw.example_branches(end)):
                 assert (got.vec == want.vec).all()
@@ -173,14 +173,29 @@ class TestClassicalCorrelationKw:
             assert abs(v_opt - v_kw) <= 1e-14, theta
 
     def test_rank_counted_as_purified(self):
-        # 1e-10 of a null vector keeps the rank at 2 (eigenvalues above
-        # RANK_TOL); the purification must then have a qubit ancilla.
+        # The rank KW checks is the purification's ancilla dimension, and
+        # both count the eigenvalues the entropies count: those above
+        # ENTROPY_CLIP. 1e-10 of a null vector makes a third one, so KW
+        # raises and the purification keeps it; ENTROPY_CLIP / 4 of it
+        # is rounding, and KW still meets the optimizer.
         rho = kw.example_state(np.pi / 8)
         null = np.linalg.eigh(rho.mat)[1][:, 0]
-        eps = 1e-10
-        mixed = la.DensityMatrix((1 - eps) * rho.mat + eps * np.outer(null, null.conj()), (2, 2))
-        assert kw.classical_correlation_kw(mixed) == pytest.approx(
-            kw.classical_correlation_kw(rho), abs=1e-12)
+
+        def mixed(eps):
+            return la.DensityMatrix((1 - eps) * rho.mat + eps * np.outer(null, null.conj()), (2, 2))
+
+        third = mixed(1e-10)
+        with pytest.raises(ValueError, match="state rank exceeds 2"):
+            kw.classical_correlation_kw(third)
+        psi = la.purify(third)
+        assert psi.dims == (2, 2, 3)
+        back = la.partial_trace(psi.to_density(), [0, 1]).mat
+        assert abs(back - third.mat).max() <= verify.ROUNDING_TOL
+
+        rounding = mixed(la.ENTROPY_CLIP / 4)
+        assert la.purify(rounding).dims == (2, 2, 2)
+        assert abs(kw.classical_correlation_kw(rounding)
+                   - classical_correlation(rounding).classical_info) <= verify.ROUNDING_TOL
 
     def test_pure_input_gives_reduction_entropy(self):
         psi = la.random_pure_state(4, 77)

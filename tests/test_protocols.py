@@ -6,7 +6,6 @@ from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
 from discordlim.koashi_winter import (
-    THETA_SLACK,
     classical_correlation_kw,
     example_branches,
     example_state,
@@ -209,7 +208,7 @@ class TestCloningRecipientInfo:
     def test_angles_within_the_slack_are_the_endpoints(self):
         # Below 0 the unclamped branch overlap is negative, outside the
         # cloner's contract.
-        for theta, end in ((-THETA_SLACK / 2, 0.0), (np.pi / 4 + THETA_SLACK / 2, np.pi / 4)):
+        for theta, end in ((-la.INPUT_TOL / 2, 0.0), (np.pi / 4 + la.INPUT_TOL / 2, np.pi / 4)):
             assert proto.cloning_recipient_info(theta) == proto.cloning_recipient_info(end)
 
 

@@ -159,7 +159,14 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    report(run(args), args)
+    res = run(args)
+    try:
+        report(res, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): stop quietly, with stdout on
+        # devnull so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
