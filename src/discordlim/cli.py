@@ -24,7 +24,8 @@ from .correlations import classical_correlation
 from .koashi_winter import _check_theta, classical_correlation_kw, example_state
 from .protocols import cloning_recipient_info, find_crossover
 
-CSV_HEADER = "theta,I,Ic,discord,I_clone,diff"
+CSV_COLUMNS = ("theta", "I", "Ic", "discord", "I_clone", "diff")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class UsageError(Exception):
@@ -86,9 +87,7 @@ def sweep_rows(theta_min: float, theta_max: float, steps: int) -> list[dict]:
 def format_csv(rows: list[dict]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join(
-            format(r[k], ".9g") for k in ("theta", "I", "Ic", "discord", "I_clone", "diff")
-        ))
+        lines.append(",".join(format(r[k], ".9g") for k in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

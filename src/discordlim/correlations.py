@@ -38,7 +38,6 @@ every POVM; for a qutrit system it is a lower bound (`classical_correlation`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -50,6 +49,7 @@ from .linalg import (
     DensityMatrix,
     Povm,
     _as_dims,
+    _as_real,
     _bipartite_dims,
     _expect,
     entropy_of_spectrum,
@@ -87,6 +87,8 @@ _GRID_SPACING = np.sqrt(2 * np.pi / GRID_POINTS)
 # The 3x3 pattern about a point, less the point itself.
 _PATTERN = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
 _SIGNS = np.array([-1.0, 1.0])
+# The range of a measurement angle: every finite float.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -371,14 +373,11 @@ def accessible_information(rho: DensityMatrix, m: Povm) -> float:
 
 def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     """Two-outcome projective measurement along the Bloch direction
-    (theta_m, phi_m)."""
-    try:
-        finite = math.isfinite(theta_m) and math.isfinite(phi_m)
-    except TypeError:  # None, a string or a complex number
-        finite = False
-    if not finite:
+    (theta_m, phi_m), any finite reals."""
+    t, f = _as_real(theta_m, -_FLOAT_MAX, _FLOAT_MAX), _as_real(phi_m, -_FLOAT_MAX, _FLOAT_MAX)
+    if t is None or f is None:
         raise ValueError(f"measurement angles must be finite reals, got ({theta_m!r}, {phi_m!r})")
-    v = np.array([np.cos(theta_m / 2), np.exp(1j * phi_m) * np.sin(theta_m / 2)])
+    v = np.array([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
     p = np.outer(v, v.conj())
     return Povm((p, np.eye(2) - p))
 

@@ -12,13 +12,13 @@ import numpy as np
 
 from .linalg import (
     ENTROPY_CLIP,
-    INPUT_TOL,
     DensityMatrix,
     StateVector,
+    _as_real,
     _bipartite_dims,
     _expect,
     _purification,
-    binary_entropy,
+    entropy_of_spectrum,
 )
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -27,14 +27,13 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 def example_branches(theta: float) -> tuple[StateVector, StateVector]:
     """The two apparatus branch states with overlap sin(2 theta)."""
-    psi, phi = _branch_vectors(theta)
+    psi, phi = _branch_vectors(_check_theta(theta))
     return StateVector(psi, (2,)), StateVector(phi, (2,))
 
 
 def _branch_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The branch states as raw complex vectors (cos, sin) and (sin, cos),
-    at the checked angle."""
-    theta = _check_theta(theta)
+    at an angle the caller has checked."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
 
@@ -43,20 +42,17 @@ def _check_theta(theta: float) -> float:
     """The angle clamped to [0, pi/4], so that a negative branch overlap
     never reaches the family. Angles within INPUT_TOL of that range count
     as inside it: pi/4 is a rounded float, and an angle given in units of
-    pi is rounded once more. Raises outside it, and on a non-real angle."""
-    try:
-        inside = -INPUT_TOL <= theta <= np.pi / 4 + INPUT_TOL
-    except TypeError:  # None, a string or a complex number
-        inside = False
-    if not inside:
+    pi is rounded once more. Raises on what `_as_real` refuses."""
+    out = _as_real(theta, 0.0, np.pi / 4)
+    if out is None:
         raise ValueError(f"theta={theta!r} outside [0, pi/4]")
-    return min(max(theta, 0.0), np.pi / 4)
+    return out
 
 
 def example_state(theta: float) -> DensityMatrix:
     """Equal mixture of |0><0| x |psi><psi| and |1><1| x |phi><phi| on
     system x apparatus; rank <= 2."""
-    return DensityMatrix(_flagged_mixture(*_branch_vectors(theta)), (2, 2))
+    return DensityMatrix(_flagged_mixture(*_branch_vectors(_check_theta(theta))), (2, 2))
 
 
 def _flagged_mixture(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,12 +69,14 @@ def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence (Wootters, PRL 80, 2245 (1998)): with
     rho = w w^dagger, C = max(0, s_1 - s_2 - ...) over the singular values
     s of tau = w^T (sy x sy) w, which are the square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy). Any rank."""
+    eigenvalues of rho (sy x sy) rho* (sy x sy). Any rank; w is the
+    purification's factor, which drops eigenvalues at or below ENTROPY_CLIP,
+    as `_kw` does."""
     _expect(rho, "rho", DensityMatrix)
     if rho.dims != (2, 2):
         raise ValueError("concurrence is defined here for two qubits only")
-    vals, vecs = np.linalg.eigh(rho.mat)
-    return _concurrence(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    psi, rank = _purification(rho.mat)
+    return _concurrence(psi.reshape(4, rank))
 
 
 def _concurrence(w: np.ndarray) -> float:
@@ -92,7 +90,9 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 
 
 def _formation(c: float) -> float:
-    return binary_entropy((1.0 + np.sqrt(max(0.0, (1.0 - c) * (1.0 + c)))) / 2.0)
+    """h(p) at p = (1 + sqrt(1 - c^2)) / 2, which lies in [1/2, 1]."""
+    p = (1.0 + np.sqrt(max(0.0, (1.0 - c) * (1.0 + c)))) / 2.0
+    return entropy_of_spectrum(np.array([p, 1.0 - p]))
 
 
 def classical_correlation_kw(rho: DensityMatrix) -> float:

@@ -7,8 +7,9 @@ All informational quantities are in bits (log base 2).
 The input contract of every public name is checked once, where input
 enters: array entries are finite, every size or count (dims, a rank, a
 number of outcomes, d_in and d_out) is a positive integer, every seed a
-non-negative one (`_as_seed`), every angle or probability a real number
-in its range, an argument typed as a value type is one (`_expect`;
+non-negative one (`_as_seed`), every angle or probability a Python or
+numpy int or float within INPUT_TOL of its range, clamped to it
+(`_as_real`), an argument typed as a value type is one (`_expect`;
 `von_neumann_entropy` also takes a raw matrix), and anything else raises
 ValueError naming the fault before numpy can warn; the CLI exits 2 on
 it. The four value types, `DensityMatrix`, `StateVector`, `Povm` and
@@ -74,6 +75,22 @@ def _as_seed(seed) -> int:
     if out < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return out
+
+
+# The types of a real argument, numpy's float64 a Python float among them:
+# a check against `numbers.Real` costs several times more per call.
+_REALS = (float, int, np.floating, np.integer)
+
+
+def _as_real(x, lo: float, hi: float) -> float | None:
+    """`x` as a float clamped to [lo, hi], two finite Python floats, if it
+    is one of `_REALS` within INPUT_TOL of them (NaN and the infinities
+    are not); else None, on which the caller raises its own ValueError:
+    for an array, a string, a complex number, None, a Fraction, a Decimal."""
+    if isinstance(x, _REALS) and lo - INPUT_TOL <= x <= hi + INPUT_TOL:
+        x = float(x)
+        return lo if x < lo else hi if x > hi else x
+    return None
 
 
 def _expect(value, what: str, *kinds):
@@ -311,14 +328,10 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), in bits."""
-    try:
-        inside = -INPUT_TOL <= p <= 1 + INPUT_TOL
-    except TypeError:  # None, a string or a complex number
-        inside = False
-    if not inside:
+    q = _as_real(p, 0.0, 1.0)
+    if q is None:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    return entropy_of_spectrum(np.array([p, 1.0 - p]))
+    return entropy_of_spectrum(np.array([q, 1.0 - q]))
 
 
 def purify(rho: DensityMatrix) -> StateVector:

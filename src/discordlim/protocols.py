@@ -11,7 +11,8 @@ broadcast isometry that gives both recipients more than I^c at
 The family's public functions validate their arguments and results; the
 crossover search runs on their raw cores (`koashi_winter._branch_vectors`,
 `_flagged_mixture` and `_kw`, and `_clone` and `_cloned_info` here), so it
-builds no `DensityMatrix` or `StateVector`.
+builds no `DensityMatrix` or `StateVector` and checks none of the angles
+it computes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _branch_states, accessible_information
-from .koashi_winter import _branch_vectors, _flagged_mixture, _kw
+from .koashi_winter import _branch_vectors, _check_theta, _flagged_mixture, _kw
 from .linalg import (
     ENTROPY_CLIP,
     INPUT_TOL,
@@ -139,7 +140,7 @@ def _clone(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cloning_recipient_info(theta: float) -> float:
     """I(S:R1) (= I(S:R2) by symmetry) after cloning the branch states of
     the example family to two recipients."""
-    return _cloned_info(*_branch_vectors(theta))
+    return _cloned_info(*_branch_vectors(_check_theta(theta)))
 
 
 def _cloned_info(psi: np.ndarray, phi: np.ndarray) -> float:

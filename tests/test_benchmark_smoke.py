@@ -2,6 +2,8 @@
 every public name a workload calls must still exist with its signature.
 Each workload's fixed probe inputs go through its op and its check."""
 
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +87,21 @@ def test_paired_ab_exits_quietly_when_stdout_closes():
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == 0
     assert err == b""
+
+
+def test_paired_ab_writes_no_bytecode_into_either_tree(tmp_path):
+    # A tree left with a __pycache__ reads a lower setup_s in the benchmark
+    # than one without, so the tool must not write one, whatever the
+    # environment says.
+    trees = [tmp_path / side for side in ("parent", "change")]
+    for tree in trees:
+        shutil.copytree(ROOT / "src" / "discordlim", tree / "src" / "discordlim",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
+                          str(trees[0]), "--change", str(trees[1]), "--ops", "4"],
+                         capture_output=True, text=True, timeout=300, env=env)
+    assert out.returncode == 0, out.stderr
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("__pycache__")) == []

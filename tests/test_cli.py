@@ -349,6 +349,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             verify.run_all(3, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_run_all_needs_a_seed(self, seed):
+        # The suites derive their sample seeds from it; the message names
+        # the seed as given.
+        with pytest.raises(ValueError, match=rf"seed must be a non-negative integer, got {seed}$"):
+            verify.run_all(seed, 2)
+
 
 # (argv, exit code, fragment of the one stderr line); "{tmp}" is a fresh
 # directory. An argument the parser rejects is a usage error, exit 1.

@@ -6,6 +6,9 @@ input reaches numpy arithmetic before the check fails too. Every name in
 `discordlim.__all__` has a row, or is in NOTHING_TO_REJECT.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,10 @@ RECIPIENTS = "recipient dims must be positive integers"
 ANCILLA = "ancilla dim must be positive integers"
 THETA = r"outside \[0, pi/4\]"
 SEED = "seed must be a non-negative integer"
+# Real arguments of a type `linalg._as_real` refuses: it takes a Python or
+# numpy int or float alone.
+NOT_REAL = {"array-1": np.array([0.1]), "array-2": np.array([0.1, 0.2]),
+            "Fraction": Fraction(1, 10), "Decimal": Decimal("0.1")}
 
 
 def raw(arg, kind="DensityMatrix", given="ndarray"):
@@ -113,6 +120,7 @@ ROWS = [
     ("von_neumann_entropy", "not-square", (np.array([0.5, 0.5]),), "density matrix must be square"),
     *[("binary_entropy", f"{p!r}", (p,), r"outside \[0, 1\]")
       for p in (1.5, -0.5, np.nan, "0.5", 0.5 + 0j)],
+    *[("binary_entropy", label, (p,), r"outside \[0, 1\]") for label, p in NOT_REAL.items()],
     *[("random_pure_state", f"dim-{dim}", (dim, 0), "dim must be positive integers")
       for dim in (2.5, 0)],
     ("random_unitary", "dim-0", (0, 0), "d_in and d_out must be positive integers"),
@@ -128,6 +136,8 @@ ROWS = [
      "POVM dimension does not match the apparatus"),
     *[("qubit_projective_povm", f"{angles}", angles, "measurement angles must be finite")
       for angles in ((0.1, np.inf), (np.inf, 0.0), (np.nan, 0.0), ("a", 0.0), (1j, 0.0))],
+    *[("qubit_projective_povm", label, (angle, 0.0), "measurement angles must be finite")
+      for label, angle in NOT_REAL.items()],
     ("random_povm", "one-outcome", (1, 0), "rank-1 qubit POVM needs at least 2 outcomes"),
     ("random_povm", "non-integral", (2.5, 0), "n_outcomes must be positive integers"),
     ("classical_correlation", "qutrit-apparatus", (QUBIT_QUTRIT,),
@@ -135,6 +145,9 @@ ROWS = [
     *[("example_state", f"{theta}", (theta,), THETA) for theta in (-0.1, np.pi / 2, np.nan, None)],
     *[("example_branches", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan, None)],
     *[("cloning_recipient_info", f"{theta}", (theta,), THETA) for theta in (1.0, np.nan, None)],
+    *[(name, label, (theta,), THETA) for name in ("example_state", "example_branches",
+                                                  "cloning_recipient_info")
+      for label, theta in NOT_REAL.items()],
     *[(name, f"{rho.dims}", (rho,), "two qubits")
       for name in ("concurrence", "entanglement_of_formation") for rho in (ONE_QUBIT, QUQUART)],
     ("classical_correlation_kw", "rank-4",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from discordlim import correlations as corr
+from discordlim import koashi_winter as kw
 from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
@@ -228,6 +229,20 @@ class TestCrossover:
         assert hi - lo <= proto.CROSSOVER_TOL
         assert lo <= res.theta <= hi
         assert proto._locc_minus_cloning(lo) > 0 >= proto._locc_minus_cloning(hi)
+
+    def test_checks_no_angle_or_probability_it_computes(self, monkeypatch):
+        # The search and the KW route build their angles and probabilities
+        # themselves; only the public entry points check a caller's.
+        rho = example_state(np.pi / 8)
+        want = proto.find_crossover(), classical_correlation_kw(rho)
+
+        def refuse(value):
+            raise AssertionError(f"{value!r} checked inside the library")
+
+        for module, name in ((kw, "_check_theta"), (proto, "_check_theta"),
+                             (la, "binary_entropy"), (kw, "binary_entropy")):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+        assert (proto.find_crossover(), classical_correlation_kw(rho)) == want
 
     def test_no_sign_change_raises(self, monkeypatch):
         monkeypatch.setattr(proto, "_locc_minus_cloning", lambda theta: 1.0)

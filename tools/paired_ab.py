@@ -14,21 +14,25 @@ throughput and latency percentiles of the op times, and how many ops gave
 bit-identical outputs on the two sides. The times are unscaled: the pairing,
 not a calibration, cancels the drift of a shared host.
 
-It reads `perfbench/` from the change tree and changes nothing there.
+It reads `perfbench/` from the change tree and writes nothing into either
+tree, no bytecode cache included.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 # The same single BLAS thread as perfbench/run.py, set before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# Write no bytecode cache into either tree: a tree that holds one reads a
+# lower import time (`setup_s`) in perfbench/run.py than one that does not.
+sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
-import sys  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
