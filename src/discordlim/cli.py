@@ -22,6 +22,7 @@ import numpy as np
 from . import verify as verify_mod
 from .correlations import classical_correlation
 from .koashi_winter import _check_theta, classical_correlation_kw, example_state
+from .linalg import _as_int
 from .protocols import cloning_recipient_info, find_crossover
 
 CSV_COLUMNS = ("theta", "I", "Ic", "discord", "I_clone", "diff")
@@ -75,6 +76,7 @@ def evaluate_point(theta: float) -> dict:
 
 
 def sweep_rows(theta_min: float, theta_max: float, steps: int) -> list[dict]:
+    steps = _as_int(steps)
     if steps < 2:
         raise UsageError("steps must be >= 2")
     message = "need 0 <= theta-min < theta-max <= pi/4"

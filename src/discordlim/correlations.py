@@ -8,18 +8,18 @@ PRA 77, 042303 (2008); Ali, Rau & Alber, PRA 81, 042105 (2010)), so one
 contraction of the state (`_kernel`) gives the branches of every
 measurement searched, and a batch of them costs one eigenvalue pass:
 closed form for a qubit system, batched `eigvalsh` otherwise. The
-optimizer evaluates projective J (w = 1, m = +-n) on a Fibonacci
-hemisphere (J(n) = J(-n)) and refines the best cells together by a
-batched pattern search.
+optimizer maximizes projective J (w = 1, m = +-n) over the directions n
+of a hemisphere (J(n) = J(-n)) in one function, `_search`: a Fibonacci
+grid, then a batched pattern search from its best cells.
 
-For a qubit system each round of that search has one more candidate per
-start, the Riemannian Newton point of J. In the Bloch form of the state,
+For a qubit system that search also tries the Riemannian Newton point of
+J. In the Bloch form of the state,
 read off the same contraction, the branch B+- has trace
 p+- = (1 +- b.n)/2 and Bloch vector (a +- T n)/2, so J(n) and its first
 and second derivatives are closed forms of two 2x2 spectra. For a larger
 system the derivatives of sum_i p_i S(B_i / p_i) need the eigenvectors
 of every branch and divided differences of the logarithm, and the search
-has no Newton candidate.
+has no Newton point.
 
 A pure state needs no search. Every measurement has J <= S(rho^S), since
 the conditional entropies are >= 0, and a rank-1 projective measurement
@@ -39,7 +39,6 @@ every POVM; for a qutrit system it is a lower bound (`classical_correlation`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -198,7 +197,8 @@ def _kernel(rho: DensityMatrix):
 def _chart_derivatives(bloch, starts: np.ndarray, tangent: np.ndarray):
     """derivs(x) -> (gradient, Hessian) of J ln 2 (J in nats) at the chart
     points x, (s, 2), of the charts n(x) = normalize(n0 + x_1 e_1 + x_2 e_2)
-    of `_refine`, for a qubit system in the Bloch form `bloch` of `_kernel`.
+    about the rows n0 of `starts`, with (e_1, e_2) the rows of `tangent`,
+    for a qubit system in the Bloch form `bloch` of `_kernel`.
 
     The gradient is the chart's. The Hessian is the Riemannian one, the
     ambient Hessian on the tangent plane less (n . grad J), pulled back by
@@ -290,33 +290,52 @@ def _newton_moves(derivs, x: np.ndarray, live: np.ndarray):
     return move, size, usable
 
 
-def _pattern_search(evaluate, x: np.ndarray, j: np.ndarray, step: np.ndarray,
-                    pattern: np.ndarray, propose=None):
-    """Pattern search of J from every start at once; returns the final
-    (x, J) of every start.
+def _search(rho: DensityMatrix):
+    """The maximum of J over projective directions: (J, unit direction).
 
-    Each round scores, in one `evaluate` call ((s, m, dim) chart points to
-    (s, m) J values), x + step * p for every row p of `pattern` about
-    every start's point x. A start moves to its best point when that
-    strictly raises J, and else halves its step; the search ends once
-    every step is at most REFINE_STEP_TOL.
+    One `_kernel` call reads the state. J is scored on the GRID_POINTS
+    hemisphere `_GRID`, and the stable top REFINE_STARTS directions start
+    a batched pattern search, each on its tangent chart
+    n(x) = normalize(n0 + x_1 e_1 + x_2 e_2), from x = 0 with a step of the
+    grid spacing. Each round scores, in one kernel call, x + step * p for
+    every row p of the 3x3 `_PATTERN` about every start's x. A start moves
+    to its best point when that strictly raises J, and else halves its
+    step; the search ends once every step is at most REFINE_STEP_TOL.
 
-    propose(x), if given, adds every start's candidate move to the round
-    as (moves, their lengths, which are usable), or returns None once it
-    has none. When a start's usable move wins, or no candidate raises its
-    J, its step shrinks to at most the move's length; a start stops once
-    no candidate raises its J and its move is at most REFINE_STEP_TOL.
+    For a qubit system each round also tries every start's Newton point of
+    J (`_newton_moves`), until no start's move is finite, as at a pure
+    branch. When a start's usable move wins, or no candidate raises its J,
+    its step shrinks to at most the move's length; a start stops once no
+    candidate raises its J and its move is at most REFINE_STEP_TOL.
     """
-    rows = np.arange(len(x))
+    j_at, bloch = _kernel(rho)
+    j_grid = j_at(_GRID)
+    top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
+    starts, j = _GRID[top], j_grid[top]
+    s = len(starts)
+    # The chart about n0 covers the open hemisphere about it, which is
+    # every measurement since J(n) = J(-n).
+    helper = np.eye(3)[np.argmin(np.abs(starts), axis=1)]
+    e1 = helper - np.sum(helper * starts, axis=1, keepdims=True) * starts
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    tangent = np.stack([e1, np.cross(starts, e1)], axis=1)
+    derivs = None if bloch is None else _chart_derivatives(bloch, starts, tangent)
+    live = np.ones(s, dtype=bool)
+    x = np.zeros((s, 2))
+    step = np.full(s, _GRID_SPACING)
+    rows = np.arange(s)
     while step.max() > REFINE_STEP_TOL:
-        trial = x[:, None, :] + step[:, None, None] * pattern
-        proposal = None if propose is None else propose(x)
+        trial = x[:, None, :] + step[:, None, None] * _PATTERN
+        proposal = None if derivs is None else _newton_moves(derivs, x, live)
         if proposal is None:
-            propose = None
+            derivs = None
         else:
             move, size, usable = proposal
             trial = np.concatenate([trial, (x + move)[:, None]], axis=1)
-        jt = evaluate(trial)
+        dirs = starts[:, None, :] + trial @ tangent
+        # np.linalg.norm's own sum, without its per-call overhead.
+        dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
+        jt = j_at(dirs.reshape(-1, 3)).reshape(s, -1)
         if proposal is not None:
             jt[~usable, -1] = -np.inf
         best = jt.argmax(axis=1)
@@ -326,36 +345,9 @@ def _pattern_search(evaluate, x: np.ndarray, j: np.ndarray, step: np.ndarray,
         j[up] = j_best[up]
         step[~up] /= 2
         if proposal is not None:
-            near = usable & (~up | (best == len(pattern)))
+            near = usable & (~up | (best == len(_PATTERN)))
             step[near] = np.minimum(step[near], size[near])
             step[~up & usable & (size <= REFINE_STEP_TOL)] = 0
-    return x, j
-
-
-def _refine(j_at, starts: np.ndarray, j_starts: np.ndarray, bloch=None):
-    """`_pattern_search` of J over projective directions, with the 3x3
-    pattern on each start's tangent chart; returns the best (J, unit
-    direction). Given a qubit system's Bloch form, each start also proposes
-    its Newton point of J (`_newton_moves`) until its proposal is
-    non-finite, as at a pure branch."""
-    s = len(starts)
-    # Chart n(x) = normalize(n0 + x_1 e_1 + x_2 e_2); it covers the open
-    # hemisphere about n0, which is every measurement since J(n) = J(-n).
-    helper = np.eye(3)[np.argmin(np.abs(starts), axis=1)]
-    e1 = helper - np.sum(helper * starts, axis=1, keepdims=True) * starts
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    tangent = np.stack([e1, np.cross(starts, e1)], axis=1)
-
-    def evaluate(trial):
-        dirs = starts[:, None, :] + trial @ tangent
-        # np.linalg.norm's own sum, without its per-call overhead.
-        dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
-        return j_at(dirs.reshape(-1, 3)).reshape(s, -1)
-
-    propose = None if bloch is None else partial(
-        _newton_moves, _chart_derivatives(bloch, starts, tangent), live=np.ones(s, dtype=bool))
-    x, j = _pattern_search(evaluate, np.zeros((s, 2)), j_starts.copy(),
-                           np.full(s, _GRID_SPACING), _PATTERN, propose)
     k = int(np.argmax(j))
     n = starts[k] + x[k] @ tangent[k]
     return float(j[k]), n / np.linalg.norm(n)
@@ -410,11 +402,9 @@ def classical_correlation(rho: DensityMatrix) -> CorrelationReport:
 
     A pure state (`_is_pure`) is certified, not searched: I^c is the
     S(rho^S) that `rho` keeps, attained by the sigma_z measurement the
-    report returns. Otherwise J is evaluated on a GRID_POINTS Fibonacci
-    hemisphere of directions, and a batched pattern search refines the
-    best REFINE_STARTS cells to a step of REFINE_STEP_TOL rad, all through
-    one batched J kernel; for a qubit system each round also tries every
-    start's Newton point of J. Deterministic for fixed input.
+    report returns. Otherwise one `_search` of J over projective
+    directions, through one contraction of the state, gives I^c and the
+    measurement. Deterministic for fixed input.
 
     For a qubit system at rank <= 2 the result is the Koashi-Winter
     optimum over every POVM. For a qutrit system it is a lower bound:
@@ -429,10 +419,7 @@ def classical_correlation(rho: DensityMatrix) -> CorrelationReport:
     if _is_pure(rho):
         s_s = rho._marginals[0]
         return CorrelationReport(i_sa, s_s, i_sa - s_s, _Z_POVM)
-    j_at, bloch = _kernel(rho)
-    j_grid = j_at(_GRID)
-    top = np.argsort(-j_grid, kind="stable")[:REFINE_STARTS]
-    j_best, n = _refine(j_at, _GRID[top], j_grid[top], bloch)
+    j_best, n = _search(rho)
     measurement = qubit_projective_povm(float(np.arccos(np.clip(n[2], -1.0, 1.0))),
                                         float(np.arctan2(n[1], n[0])))
     return CorrelationReport(i_sa, j_best, i_sa - j_best, measurement)

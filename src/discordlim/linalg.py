@@ -65,13 +65,20 @@ def _as_dims(sizes, what: str) -> tuple[int, ...]:
     return out
 
 
-def _as_seed(seed) -> int:
-    """A seed as a non-negative int, numpy integers included; 1.5, -1 and
-    None raise, so that every draw is reproducible."""
+def _as_int(n) -> int:
+    """A count or a seed as an int, numpy integers included; -1 for
+    anything non-integral (1.5, 2.0, "3", None), which fails the caller's
+    range check with its own message."""
     try:
-        out = operator.index(seed)
-    except TypeError:  # a non-integral seed, or None
-        out = -1
+        return operator.index(n)
+    except TypeError:
+        return -1
+
+
+def _as_seed(seed) -> int:
+    """A seed as a non-negative int (`_as_int`); 1.5, -1 and None raise, so
+    that every draw is reproducible."""
+    out = _as_int(seed)
     if out < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return out
@@ -313,7 +320,8 @@ def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:
     """Entropy in bits of a float64 spectrum, or of each one in a stack;
     eigenvalues at or below ENTROPY_CLIP contribute nothing."""
     logs = np.log(vals, out=np.zeros(vals.shape), where=vals > ENTROPY_CLIP)
-    s = -(vals * logs).sum(axis=-1) / LOG2
+    # 0.0 - x, not -x: a pure spectrum's entropy is +0.0, not -0.0.
+    s = 0.0 - (vals * logs).sum(axis=-1) / LOG2
     return float(s) if s.ndim == 0 else s
 
 

@@ -316,6 +316,7 @@ ALL_SUITES = [
 
 def run_all(seed: int, samples: int) -> list[SuiteResult]:
     seed = la._as_seed(seed)
+    samples = la._as_int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     return [suite(seed, samples) for suite in ALL_SUITES]

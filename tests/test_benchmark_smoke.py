@@ -67,7 +67,7 @@ def test_family_check_passes_where_the_package_clips_an_eigenvalue(bench, name, 
     assert fails == []
 
 
-@pytest.mark.parametrize("workload", ["random_states", "closed_form"])
+@pytest.mark.parametrize("workload", ["family_sweep", "random_states", "closed_form"])
 def test_paired_ab_reads_a_tree_against_itself_bit_identical(workload):
     # An A/A run of the tool behind each change's bit-identity evidence.
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
@@ -105,3 +105,23 @@ def test_paired_ab_writes_no_bytecode_into_either_tree(tmp_path):
                          capture_output=True, text=True, timeout=300, env=env)
     assert out.returncode == 0, out.stderr
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("__pycache__")) == []
+
+
+def test_paired_ab_exits_1_when_an_output_differs(tmp_path):
+    # As `diff` does: the change tree's entropies read 1e-9 high, so no
+    # closed_form op's outputs match, and the report is still printed.
+    trees = [tmp_path / side for side in ("parent", "change")]
+    for tree in trees:
+        for part in ("src/discordlim", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+    linalg = trees[1] / "src" / "discordlim" / "linalg.py"
+    text = linalg.read_text()
+    assert text.count("LOG2 = np.log(2.0)\n") == 1
+    linalg.write_text(text.replace("LOG2 = np.log(2.0)\n", "LOG2 = np.log(2.0) * (1 - 1e-9)\n"))
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
+                          str(trees[0]), "--change", str(trees[1]), "--ops", "4"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 1, out.stderr
+    assert "outputs bit-identical in 0/4 ops" in out.stdout
+    assert "throughput_ops_s" in out.stdout

@@ -233,6 +233,11 @@ class TestSweep:
         with pytest.raises(UsageError, match="steps must be >= 2"):
             sweep_rows(0.0, 0.1, 1)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, "3", None])
+    def test_sweep_rows_needs_an_integral_step_count(self, steps):
+        with pytest.raises(UsageError, match="steps must be >= 2"):
+            sweep_rows(0.0, 0.5, steps)
+
     def test_csv_format(self):
         text = format_csv([evaluate_point(0.1)])
         assert text.startswith(CSV_HEADER + "\n")
@@ -348,6 +353,11 @@ class TestVerify:
     def test_run_all_needs_a_sample(self):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             verify.run_all(3, 0)
+
+    @pytest.mark.parametrize("samples", [1.5, 2.0, "3", None])
+    def test_run_all_needs_an_integral_sample_count(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify.run_all(7, samples)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_run_all_needs_a_seed(self, seed):

@@ -28,12 +28,8 @@ def random_two_qubit_state(seed):
 
 
 def full_search(rho):
-    """I^c of the projective grid and refinement, the search a pure state
-    skips, run on the private kernel."""
-    j_at, bloch = corr._kernel(rho)
-    j_grid = j_at(corr._GRID)
-    top = np.argsort(-j_grid, kind="stable")[:corr.REFINE_STARTS]
-    return corr._refine(j_at, corr._GRID[top], j_grid[top], bloch)[0]
+    """I^c of the projective search, which a pure state skips."""
+    return corr._search(rho)[0]
 
 
 class TestMutualInformation:
@@ -241,7 +237,7 @@ class TestPureStateCertificate:
             raise AssertionError("a pure state was contracted or searched")
 
         monkeypatch.setattr(corr, "_kernel", searched)
-        monkeypatch.setattr(corr, "_refine", searched)
+        monkeypatch.setattr(corr, "_search", searched)
         for rho in pure_states:
             rep = corr.classical_correlation(rho)
             assert all(np.array_equal(e, f) for e, f in zip(rep.measurement.elements,
@@ -259,8 +255,8 @@ class TestPureStateCertificate:
     @staticmethod
     def refine_calls(rho, monkeypatch):
         calls = []
-        refine = corr._refine
-        monkeypatch.setattr(corr, "_refine", lambda *a: calls.append(a) or refine(*a))
+        search = corr._search
+        monkeypatch.setattr(corr, "_search", lambda *a: calls.append(a) or search(*a))
         rep = corr.classical_correlation(rho)
         return rep, len(calls)
 

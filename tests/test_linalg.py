@@ -1,5 +1,6 @@
 import ast
 import copy
+import math
 import pickle
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from discordlim import correlations as corr
 from discordlim import linalg as la
 from discordlim import protocols as proto
 from discordlim import verify
-from discordlim.koashi_winter import example_branches, example_state
+from discordlim.koashi_winter import entanglement_of_formation, example_branches, example_state
 from references import brute_partial_trace
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -121,6 +122,14 @@ class TestEntropy:
         assert la.binary_entropy(0.5) == pytest.approx(1.0)
         for p in np.linspace(0, 1, 101):
             assert la.binary_entropy(p) == pytest.approx(la.binary_entropy(1 - p), abs=1e-12)
+
+    def test_a_pure_spectrum_reads_plus_zero(self):
+        # -0.0 == 0.0, so only the sign bit tells them apart.
+        product = la.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+        for value in (la.binary_entropy(0.0), la.binary_entropy(1.0),
+                      la.von_neumann_entropy(product), entanglement_of_formation(product)):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
 
     def test_entropy_of_a_stack_is_each_spectrum_entropy(self):
         vals = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, -1e-17], [0.75, 0.25, 0.0]])

@@ -14,6 +14,9 @@ throughput and latency percentiles of the op times, and how many ops gave
 bit-identical outputs on the two sides. The times are unscaled: the pairing,
 not a calibration, cancels the drift of a shared host.
 
+Like `diff`, it exits 0 when every op's outputs are bit-identical and 1
+when any differ, after the full report.
+
 It reads `perfbench/` from the change tree and writes nothing into either
 tree, no bytecode cache included.
 """
@@ -171,7 +174,7 @@ def main(argv=None) -> int:
         # The reader closed stdout (`| head`): stop quietly, with stdout on
         # devnull so that the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+    return 0 if all(res["identical"]) else 1
 
 
 if __name__ == "__main__":
