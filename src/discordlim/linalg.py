@@ -16,10 +16,12 @@ it. The four value types, `DensityMatrix`, `StateVector`, `Povm` and
 `BroadcastIsometry`, each make one read-only copy of their input
 (`_owned`, which rejects non-finite entries) and check it; a density
 matrix and each POVM element are Hermitian, then PSD, within INPUT_TOL,
-the one slack on caller input. Inside the package, states pass as raw
-arrays and are not checked again, and ENTROPY_CLIP is the one rule for
-what they treat as zero: in an entropy, a rank and a purity test. A
-`DensityMatrix` keeps the spectrum of its PSD check, so
+the one slack on caller input; a density matrix then keeps only its
+Hermitian part (m + m^dagger)/2, which its spectrum, marginals and
+reductions read, and nothing symmetrizes them again. Inside the package,
+states pass as raw arrays and are not checked again, and ENTROPY_CLIP is
+the one rule for what they treat as zero: in an entropy, a rank and a
+purity test. A `DensityMatrix` keeps the spectrum of its PSD check, so
 `von_neumann_entropy` of one makes no eigensolve; a bipartite one keeps
 S(rho^S) and S(rho^A) from the first call that needs them, for I and
 I^c_KW alike (`_marginals`); a copy computes them again.
@@ -117,7 +119,7 @@ def _check_dims(dims, size: int) -> tuple[int, ...]:
 
 def _owned(a, what: str) -> np.ndarray:
     """A read-only complex C-ordered copy of `a`, whose entries are all
-    finite; the one copy each value type makes."""
+    finite; the copy each value type checks."""
     out = np.array(a, dtype=complex, order="C")
     if not np.isfinite(out).all():
         raise ValueError(f"{what} has non-finite entries")
@@ -145,9 +147,9 @@ def _check_hermitian(mats: np.ndarray, what: str):
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, PSD operator over a tensor factorization.
-    `mat` is a read-only copy of the input; `_spectrum` holds its ascending
-    eigenvalues, from the PSD check; `_marginals`, of a bipartite state,
-    its marginal entropies once a call has needed them."""
+    `mat` is the read-only Hermitian part of the input, its own adjoint bit
+    for bit; `_spectrum` holds its ascending eigenvalues, from the PSD check;
+    `_marginals`, of a bipartite state, its marginal entropies once needed."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
@@ -157,9 +159,11 @@ class DensityMatrix(_Rebuilt):
         mat = _owned(self.mat, "density matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
         _check_hermitian(mat, "density matrix")
+        mat = hermitianize(mat)
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
         tr = mat.trace()
         if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
@@ -182,9 +186,8 @@ class DensityMatrix(_Rebuilt):
         r = self.mat.reshape(d_s, d_a, d_s, d_a)
         marginals = r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
         if d_s != d_a:
-            return tuple(entropy_of_spectrum(np.linalg.eigvalsh(hermitianize(m)))
-                         for m in marginals)
-        vals = np.linalg.eigvalsh(hermitianize(np.array(marginals)))
+            return tuple(entropy_of_spectrum(np.linalg.eigvalsh(m)) for m in marginals)
+        vals = np.linalg.eigvalsh(np.array(marginals))
         return tuple(entropy_of_spectrum(vals).tolist())
 
 
@@ -294,8 +297,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    return DensityMatrix(hermitianize(_reduce(rho.mat, rho.dims, keep)),
-                         tuple(rho.dims[i] for i in keep))
+    return DensityMatrix(_reduce(rho.mat, rho.dims, keep), tuple(rho.dims[i] for i in keep))
 
 
 def _reduce(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:

@@ -87,7 +87,7 @@ def measure_and_prepare(rho: DensityMatrix, ch: PreparedEnsembleChannel) -> Dens
     sigmas = np.array([sigma.mat for sigma in ch.prepared])
     d = rho.dims[0] * d_r
     out = np.einsum("nij,nkl->ikjl", branches, sigmas).reshape(d, d)
-    return DensityMatrix(hermitianize(out), (rho.dims[0], d_r))
+    return DensityMatrix(out, (rho.dims[0], d_r))
 
 
 def locc_transfer_info(rho: DensityMatrix, m: Povm) -> float:
@@ -252,7 +252,7 @@ def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) 
         v = iso.matrix.reshape(-1, d_b, d_a)
         red = np.einsum("rba,sauc,qbc->sruq", v, state.mat.reshape(d_s, d_a, d_s, d_a),
                         v.conj()).reshape(d, d)
-    return DensityMatrix(hermitianize(red), (d_s,) + iso.recipient_dims)
+    return DensityMatrix(red, (d_s,) + iso.recipient_dims)
 
 
 def recipient_infos(rho: DensityMatrix) -> list[float]:
@@ -270,6 +270,6 @@ def recipient_infos(rho: DensityMatrix) -> list[float]:
     s = np.empty(len(mats))
     for size in {len(m) for m in mats}:
         idx = [k for k, m in enumerate(mats) if len(m) == size]
-        vals = np.linalg.eigvalsh(hermitianize(np.array([mats[k] for k in idx])))
+        vals = np.linalg.eigvalsh(np.array([mats[k] for k in idx]))
         s[idx] = entropy_of_spectrum(vals)
     return [float(s[0] + s_r - s_sr) for s_sr, s_r in zip(s[1:n], s[n:])]

@@ -59,7 +59,7 @@ def _random_pure_pair(seed: int) -> la.StateVector:
 def _locally_rotated(seed: int, *mats: np.ndarray) -> list[la.DensityMatrix]:
     """u mat u^dagger of each mat, for the local unitary u_1 x u_2 (seeds seed + 1, seed + 2)."""
     u = np.kron(la.random_unitary(2, seed + 1), la.random_unitary(2, seed + 2))
-    return [la.DensityMatrix(la.hermitianize(u @ mat @ u.conj().T), (2, 2)) for mat in mats]
+    return [la.DensityMatrix(u @ mat @ u.conj().T, (2, 2)) for mat in mats]
 
 
 def suite_linalg_partial_trace(seed: int, samples: int) -> SuiteResult:

@@ -77,6 +77,19 @@ def test_paired_ab_reads_a_tree_against_itself_bit_identical(workload):
     assert "outputs bit-identical in 18/18 ops" in out.stdout
 
 
+def test_paired_ab_alternates_the_first_side_within_each_op_kind():
+    # closed_form's crossover is every 80th op, always at an odd index: an
+    # order that alternated by op index ran the same side first in each.
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), "--parent",
+                          str(ROOT), "--ops", "160", "--workload", "closed_form"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rows = {line.split()[0]: line.split() for line in out.stdout.splitlines() if line.strip()}
+    # kind, ops, parent, change, ratio, share, parent-first, bit-identical, max |diff|
+    assert rows["crossover"][6:] == ["1/2", "2/2", "0"]
+    assert rows["family"][6:] == ["32/64", "64/64", "0"]
+
+
 def test_paired_ab_exits_quietly_when_stdout_closes():
     # `paired_ab.py ... | head`: the reader is gone before the report is
     # written, and the tool ends with status 0 and no traceback.

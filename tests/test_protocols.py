@@ -303,12 +303,25 @@ class TestBroadcast:
         # The two mutual-information paths, batched (recipient_infos) and
         # direct eigensolves with the kept spectrum (mutual_information), on
         # one recipient.
+        # The Ginibre states g g^dagger / tr are also built as the benchmark
+        # builds them, with no hermitianize: rounding leaves them off
+        # Hermitian by up to ~6e-17, and the constructor stores their
+        # Hermitian part.
         states = [example_state(t) for t in np.linspace(0.0, np.pi / 4, 101)]
         for d_s, d_a in ((2, 2), (3, 2), (2, 3), (2, 4)):
             for rank in (1, 2, None):
                 states += [la.DensityMatrix(la.random_density_matrix(d_s * d_a, seed, rank),
                                             (d_s, d_a)) for seed in range(50)]
+        for d_s, d_a in ((2, 2), (3, 2), (2, 3)):
+            for rank in (1, 2, d_s * d_a):
+                for seed in range(50):
+                    rng = np.random.default_rng(seed)
+                    g = (rng.standard_normal((d_s * d_a, rank))
+                         + 1j * rng.standard_normal((d_s * d_a, rank)))
+                    m = g @ g.conj().T
+                    states.append(la.DensityMatrix(m / np.trace(m).real, (d_s, d_a)))
         for rho in states:
+            assert np.array_equal(rho.mat, rho.mat.conj().T)
             assert proto.recipient_infos(rho) == [corr.mutual_information(rho)]
 
     def test_owns_a_read_only_copy(self):

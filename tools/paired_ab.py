@@ -6,13 +6,17 @@
 Each tree's `src/discordlim` is imported under its own package name
 (`ab_parent`, `ab_change`), and one `perfbench/workloads.py` runs both:
 for every op, the workload's module-level `dl` is pointed at one package,
-then at the other, with the order alternating from op to op, so that both
-sides see the same inputs under the same machine load. Every package call
+then at the other, so that both sides see the same inputs under the same
+machine load. The side that runs first alternates between the ops of each
+kind, so a kind that recurs at an even period (`closed_form`'s crossover,
+every 80th op) runs parent first in half of its ops too. Every package call
 an op makes is timed on its own. The script prints, per op kind and per
 call, the median time of each side and the ratio change / parent, the
-throughput and latency percentiles of the op times, and how many ops gave
-bit-identical outputs on the two sides. The times are unscaled: the pairing,
-not a calibration, cancels the drift of a shared host.
+throughput and latency percentiles of the op times; per op kind also how
+many ops ran parent first, how many gave bit-identical outputs on the two
+sides, and the largest absolute difference between their float outputs.
+The times are unscaled: the pairing, not a calibration, cancels the drift
+of a shared host.
 
 Like `diff`, it exits 0 when every op's outputs are bit-identical and 1
 when any differ, after the full report.
@@ -80,6 +84,13 @@ def bits(out) -> str:
     return float(out).hex() if isinstance(out, (float, np.floating)) else repr(out)
 
 
+def floats(out) -> list[float]:
+    """The floats of an op's output, in order; other leaves are left out."""
+    if isinstance(out, (tuple, list)):
+        return [x for o in out for x in floats(o)]
+    return [float(out)] if isinstance(out, (float, np.floating)) else []
+
+
 def run(args) -> dict:
     pkgs = {"parent": load_package(args.parent.resolve(), "ab_parent"),
             "change": load_package(args.change.resolve(), "ab_change")}
@@ -88,7 +99,8 @@ def run(args) -> dict:
     op_s = {s: [] for s in SIDES}
     kinds = []
     call_s = {s: defaultdict(list) for s in SIDES}
-    identical = []
+    identical, diffs, parent_first = [], [], []
+    seen = defaultdict(int)  # ops of each kind run so far
 
     def timed(side):
         record = call_s[side]
@@ -107,15 +119,21 @@ def run(args) -> dict:
             workload.run(lambda _name, fn, *a: fn(*a), inp)
     for i in range(args.ops):
         inp = workload.input(i)
-        kinds.append(workload.kind(inp))
+        kind = workload.kind(inp)
+        kinds.append(kind)
+        parent_first.append(seen[kind] % 2 == 0)
+        seen[kind] += 1
         outs = {}
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+        for side in (SIDES if parent_first[-1] else SIDES[::-1]):
             wl_mod.dl = pkgs[side]
             t0 = perf_counter()
             outs[side] = workload.run(calls[side], inp)
             op_s[side].append(perf_counter() - t0)
         identical.append(bits(outs["parent"]) == bits(outs["change"]))
-    return {"op_s": op_s, "kinds": kinds, "call_s": call_s, "identical": identical}
+        pairs = zip(floats(outs["parent"]), floats(outs["change"]))
+        diffs.append(max((abs(p - c) for p, c in pairs), default=0.0))
+    return {"op_s": op_s, "kinds": kinds, "call_s": call_s, "identical": identical,
+            "diffs": diffs, "parent_first": parent_first}
 
 
 def ratio_row(label: str, parent: list[float], change: list[float], scale: float) -> str:
@@ -126,7 +144,8 @@ def ratio_row(label: str, parent: list[float], change: list[float], scale: float
 def report(res: dict, args) -> None:
     op_s, kinds = res["op_s"], res["kinds"]
     n = len(kinds)
-    print(f"workload {args.workload}, seed {args.seed}, {n} ops per side, order alternating; "
+    print(f"workload {args.workload}, seed {args.seed}, {n} ops per side, "
+          f"order alternating per op kind; "
           f"outputs bit-identical in {sum(res['identical'])}/{n} ops")
     print(f"{'end to end':<44} {'':>7} {'parent':>12} {'change':>12} {'ratio':>8}")
     for metric, fn in (("throughput_ops_s", lambda t: len(t) / sum(t)),
@@ -137,14 +156,16 @@ def report(res: dict, args) -> None:
     wins = sum(c < p for p, c in zip(op_s["parent"], op_s["change"]))
     print(f"{'ops faster on the change side':<44} {wins:>7}/{n}")
     print(f"\n{'op kind (median us)':<44} {'ops':>7} {'parent':>12} {'change':>12} {'ratio':>8}"
-          "  share  bit-identical")
+          "  share  parent-first  bit-identical  max |diff|")
     total = sum(op_s["parent"])
     for kind in sorted(set(kinds)):
         idx = [k for k, x in enumerate(kinds) if x == kind]
         sel = {s: [op_s[s][k] for k in idx] for s in SIDES}
-        same = sum(res["identical"][k] for k in idx)
+        first = f"{sum(res['parent_first'][k] for k in idx)}/{len(idx)}"
+        same = f"{sum(res['identical'][k] for k in idx)}/{len(idx)}"
         print(ratio_row(kind, sel["parent"], sel["change"], 1e6),
-              f"{sum(sel['parent']) / total:>6.0%}  {same}/{len(idx)}")
+              f"{sum(sel['parent']) / total:>6.0%}  {first:>12}  {same:>13}"
+              f"  {max(res['diffs'][k] for k in idx):>10.2g}")
     print(f"\n{'call (median us)':<44} {'calls':>7} {'parent':>12} {'change':>12} {'ratio':>8}")
     for name in sorted(res["call_s"]["parent"]):
         print(ratio_row(name, res["call_s"]["parent"][name], res["call_s"]["change"][name], 1e6))
