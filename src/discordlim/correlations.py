@@ -51,6 +51,7 @@ from .linalg import (
     _as_real,
     _bipartite_dims,
     _expect,
+    _identity_stack,
     entropy_of_spectrum,
     hermitianize,
     random_isometry_mat,
@@ -370,8 +371,10 @@ def qubit_projective_povm(theta_m: float, phi_m: float) -> Povm:
     if t is None or f is None:
         raise ValueError(f"measurement angles must be finite reals, got ({theta_m!r}, {phi_m!r})")
     v = np.array([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
-    p = np.outer(v, v.conj())
-    return Povm((p, np.eye(2) - p))
+    stack = _identity_stack(2, 2)
+    np.outer(v, v.conj(), out=stack[1])
+    np.subtract(stack[0], stack[1], out=stack[2])
+    return Povm._of(stack)
 
 
 # The sigma_z measurement, which the report of a pure state returns: values

@@ -102,9 +102,12 @@ def classical_correlation_kw(rho: DensityMatrix) -> float:
     the ones the entropies count) so that C is (at most) a qubit.
     """
     _expect(rho, "rho", DensityMatrix)
-    if _bipartite_dims(rho.dims)[0] != 2:
+    d_s, d_a = _bipartite_dims(rho.dims)
+    if d_s != 2:
         raise ValueError("the system factor must be a qubit")
-    return _kw(rho.mat, rho.dims, rho._marginals[0])
+    # A qubit apparatus: the stacked eigensolve of both marginals, which I
+    # shares; a larger one: rho^S alone.
+    return _kw(rho.mat, rho.dims, rho._marginals[0] if d_a == 2 else rho._system_entropy)
 
 
 def _kw(mat: np.ndarray, dims: tuple[int, int], s_s: float) -> float:

@@ -13,18 +13,24 @@ numpy int or float within INPUT_TOL of its range, clamped to it
 `von_neumann_entropy` also takes a raw matrix), and anything else raises
 ValueError naming the fault before numpy can warn; the CLI exits 2 on
 it. The four value types, `DensityMatrix`, `StateVector`, `Povm` and
-`BroadcastIsometry`, each make one read-only copy of their input
-(`_owned`, which rejects non-finite entries) and check it; a density
-matrix and each POVM element are Hermitian, then PSD, within INPUT_TOL,
-the one slack on caller input; a density matrix then keeps only its
-Hermitian part (m + m^dagger)/2, which its spectrum, marginals and
-reductions read, and nothing symmetrizes them again. Inside the package,
-states pass as raw arrays and are not checked again, and ENTROPY_CLIP is
-the one rule for what they treat as zero: in an entropy, a rank and a
-purity test. A `DensityMatrix` keeps the spectrum of its PSD check, so
+`BroadcastIsometry`, each check their input in one pass, non-finite
+entries first (`_finite`), and keep one read-only C-ordered array: a state
+vector and an isometry a copy of their input (`_owned`), a POVM one stack
+it writes the identity and its elements into, and a density matrix its
+Hermitian part (m + m^dagger)/2, from the adjoint its Hermitian check
+formed, which its spectrum, marginals and reductions read; nothing
+symmetrizes them again. A density matrix and each POVM element are
+Hermitian, then PSD, within INPUT_TOL, the one slack on caller input.
+Inside the package, states pass as raw arrays and are not checked again;
+a POVM or an isometry the package builds from an array it has just made
+(`Povm._of`, `BroadcastIsometry._of`) runs the checks of that array's
+values alone, with no copy and no shape or dims check again. ENTROPY_CLIP
+is the one rule for what states treat as zero: in an entropy, a rank and
+a purity test. A `DensityMatrix` keeps the spectrum of its PSD check, so
 `von_neumann_entropy` of one makes no eigensolve; a bipartite one keeps
 S(rho^S) and S(rho^A) from the first call that needs them, for I and
-I^c_KW alike (`_marginals`); a copy computes them again.
+I^c_KW alike (`_marginals`), and the KW route on a larger apparatus
+solves rho^S alone (`_system_entropy`); a copy computes them again.
 """
 
 from __future__ import annotations
@@ -117,12 +123,18 @@ def _check_dims(dims, size: int) -> tuple[int, ...]:
     return dims
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """`a`, raising unless its entries are all finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
 def _owned(a, what: str) -> np.ndarray:
     """A read-only complex C-ordered copy of `a`, whose entries are all
-    finite; the copy each value type checks."""
-    out = np.array(a, dtype=complex, order="C")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{what} has non-finite entries")
+    finite: the array a `StateVector` or a `BroadcastIsometry` checks and
+    keeps."""
+    out = _finite(np.array(a, dtype=complex, order="C"), what)
     out.flags.writeable = False
     return out
 
@@ -137,11 +149,13 @@ class _Rebuilt:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
-def _check_hermitian(mats: np.ndarray, what: str):
+def _check_hermitian(mats: np.ndarray, what: str) -> np.ndarray:
     """Raise unless a matrix, or each matrix in a stack, is Hermitian
-    within INPUT_TOL."""
-    if abs(mats - mats.conj().swapaxes(-1, -2)).max() > INPUT_TOL:
+    within INPUT_TOL; return the adjoint it compared against."""
+    adj = mats.conj().swapaxes(-1, -2)
+    if abs(mats - adj).max() > INPUT_TOL:
         raise ValueError(f"{what} is not Hermitian")
+    return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +163,23 @@ class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, PSD operator over a tensor factorization.
     `mat` is the read-only Hermitian part of the input, its own adjoint bit
     for bit; `_spectrum` holds its ascending eigenvalues, from the PSD check;
-    `_marginals`, of a bipartite state, its marginal entropies once needed."""
+    `_marginals` and `_system_entropy`, of a bipartite state, its marginal
+    entropies once needed."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = _owned(self.mat, "density matrix")
+        # The caller's array itself when it is already complex: only the
+        # Hermitian part, a fresh array, is kept.
+        mat = _finite(np.asarray(self.mat, dtype=complex), "density matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "dims", _check_dims(self.dims, mat.shape[0]))
-        _check_hermitian(mat, "density matrix")
-        mat = hermitianize(mat)
+        # `hermitianize`, on the adjoint the check formed.
+        mat = np.add(mat, _check_hermitian(mat, "density matrix"), order="C")
+        mat /= 2
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         tr = mat.trace()
@@ -181,14 +199,23 @@ class DensityMatrix(_Rebuilt):
     def _marginals(self) -> tuple[float, float]:
         """(S(rho^S), S(rho^A)) of a bipartite state, computed on first use:
         one stacked `eigvalsh` when the two marginals share a shape, else
-        one each; the same bits either way."""
+        `_system_entropy` and one of rho^A; the same bits either way."""
         d_s, d_a = _bipartite_dims(self.dims)
         r = self.mat.reshape(d_s, d_a, d_s, d_a)
-        marginals = r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
+        rho_a = r.trace(axis1=0, axis2=2)
         if d_s != d_a:
-            return tuple(entropy_of_spectrum(np.linalg.eigvalsh(m)) for m in marginals)
-        vals = np.linalg.eigvalsh(np.array(marginals))
+            return self._system_entropy, entropy_of_spectrum(np.linalg.eigvalsh(rho_a))
+        vals = np.linalg.eigvalsh(np.array([r.trace(axis1=1, axis2=3), rho_a]))
         return tuple(entropy_of_spectrum(vals).tolist())
+
+    @cached_property
+    def _system_entropy(self) -> float:
+        """S(rho^S) of a bipartite state from one `eigvalsh` of rho^S alone,
+        computed on first use: the first of `_marginals` when the marginals
+        differ in shape, and what the KW route reads then, without rho^A."""
+        d_s, d_a = _bipartite_dims(self.dims)
+        return entropy_of_spectrum(np.linalg.eigvalsh(
+            self.mat.reshape(d_s, d_a, d_s, d_a).trace(axis1=1, axis2=3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +243,14 @@ class StateVector(_Rebuilt):
         return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
 
 
+def _identity_stack(k: int, d: int) -> np.ndarray:
+    """A zero complex stack of k + 1 d x d matrices, the identity in row 0:
+    a `Povm` of k elements writes them after it."""
+    stack = np.zeros((k + 1, d, d), dtype=complex)
+    stack[0].flat[::d + 1] = 1.0
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class Povm(_Rebuilt):
     """Finite measurement: Hermitian PSD elements summing to the identity.
@@ -234,7 +269,24 @@ class Povm(_Rebuilt):
         if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
                 or any(np.shape(e) != shape for e in elements)):
             raise ValueError("POVM needs at least one element, all nonempty, square and same-sized")
-        stack = _owned([np.eye(shape[0]), *elements], "POVM element")
+        stack = _identity_stack(len(elements), shape[0])
+        for k, e in enumerate(elements, 1):
+            stack[k] = e
+        self._keep(_finite(stack, "POVM element"))
+
+    @classmethod
+    def _of(cls, stack: np.ndarray):
+        """The value of a fresh finite `_identity_stack` with the elements
+        written in (`correlations.qubit_projective_povm`): the elements' own
+        checks alone, on the array itself."""
+        povm = object.__new__(cls)
+        povm._keep(stack)
+        return povm
+
+    def _keep(self, stack: np.ndarray):
+        """Keep the stack, read-only, and views of its elements; check that
+        they are Hermitian, sum to the identity and are PSD."""
+        stack.flags.writeable = False
         _check_hermitian(stack[1:], "POVM element")
         if abs(stack[1:].sum(axis=0) - stack[0]).max() > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
@@ -257,15 +309,32 @@ class BroadcastIsometry(_Rebuilt):
         mat = _owned(self.matrix, "isometry matrix")
         if mat.ndim != 2 or not mat.shape[1]:
             raise ValueError("isometry matrix must be two-dimensional with at least one column")
-        object.__setattr__(self, "matrix", mat)
         recipients = _as_dims(self.recipient_dims, "recipient dims")
         (ancilla,) = _as_dims((self.ancilla_dim,), "ancilla dim")
+        self._keep(mat, recipients, ancilla)
+
+    @classmethod
+    def _of(cls, mat: np.ndarray, recipients: tuple[int, ...], ancilla: int):
+        """The value of a fresh complex matrix and dims the caller has
+        checked (`protocols.random_broadcast_isometry`): the matrix's own
+        checks alone, on the array itself."""
+        iso = object.__new__(cls)
+        iso._keep(_finite(mat, "isometry matrix"), recipients, ancilla)
+        return iso
+
+    def _keep(self, mat: np.ndarray, recipients: tuple[int, ...], ancilla: int):
+        """Keep the matrix, read-only, and the dims; check the matrix's rows
+        and that it is an isometry."""
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "recipient_dims", recipients)
         object.__setattr__(self, "ancilla_dim", ancilla)
         d_out = math.prod(recipients) * ancilla
         if mat.shape[0] != d_out:
             raise ValueError(f"matrix rows {mat.shape[0]} do not match output dim {d_out}")
-        if abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max() > INPUT_TOL:
+        gram = mat.conj().T @ mat
+        gram.reshape(-1)[::gram.shape[0] + 1] -= 1.0  # minus the identity
+        if abs(gram).max() > INPUT_TOL:
             raise ValueError("matrix is not an isometry")
 
     @property
@@ -297,25 +366,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    return DensityMatrix(_reduce(rho.mat, rho.dims, keep), tuple(rho.dims[i] for i in keep))
+    return DensityMatrix(_reduce(rho.mat, rho.dims, keep), tuple([rho.dims[i] for i in keep]))
 
 
 def _reduce(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """A raw matrix over `dims` reduced to the factors in `keep`. Each run of
-    adjacent traced factors is one row and one column axis, traced by
-    `ndarray.trace`, the last first, so the axes before it keep their places."""
-    shape, traced = [], []
+    adjacent factors that are all kept or all traced is one row and one
+    column axis; each traced run is traced by `ndarray.trace`, the last
+    first, so the axes before it keep their places."""
+    runs, traced = [], []
     for k, d in enumerate(dims):
-        if k not in keep and traced and traced[-1]:
-            shape[-1] *= d
+        gone = k not in keep
+        if traced and traced[-1] == gone:
+            runs[-1] *= d
         else:
-            shape.append(d)
-            traced.append(k not in keep)
-    t = mat.reshape(shape * 2)
-    for k in range(len(shape) - 1, -1, -1):
+            runs.append(d)
+            traced.append(gone)
+    t = mat.reshape(runs * 2)
+    for k in range(len(runs) - 1, -1, -1):
         if traced[k]:
             t = t.trace(axis1=k, axis2=k + t.ndim // 2)
-    return t.reshape(math.prod(t.shape[:t.ndim // 2]), -1)
+    # A single kept run is already one row and one column axis.
+    return t if t.ndim == 2 else t.reshape(math.prod(t.shape[:t.ndim // 2]), -1)
 
 
 def entropy_of_spectrum(vals: np.ndarray) -> float | np.ndarray:

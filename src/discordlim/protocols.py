@@ -229,8 +229,12 @@ def classical_copy_isometry() -> BroadcastIsometry:
 
 def random_broadcast_isometry(d_in: int, recipient_dims, ancilla_dim: int,
                               seed: int) -> BroadcastIsometry:
-    dims = _as_dims(recipient_dims, "recipient dims") + _as_dims((ancilla_dim,), "ancilla dim")
-    return BroadcastIsometry(random_isometry_mat(d_in, math.prod(dims), seed), dims[:-1], dims[-1])
+    """Haar-random isometry from a d_in apparatus into recipients x ancilla;
+    each dim is checked once, here and in `random_isometry_mat`."""
+    recipients = _as_dims(recipient_dims, "recipient dims")
+    (ancilla,) = _as_dims((ancilla_dim,), "ancilla dim")
+    mat = random_isometry_mat(d_in, math.prod(recipients) * ancilla, seed)
+    return BroadcastIsometry._of(mat, recipients, ancilla)
 
 
 def apply_broadcast(state: DensityMatrix | StateVector, iso: BroadcastIsometry) -> DensityMatrix:
@@ -267,9 +271,11 @@ def recipient_infos(rho: DensityMatrix) -> list[float]:
     pairs = [_reduce(mat, dims, (0, i)) for i in range(1, n)]
     mats = ([mat.reshape(d_s, -1, d_s, mat.shape[0] // d_s).trace(axis1=1, axis2=3)] + pairs
             + [p.reshape(d_s, d, d_s, d).trace(axis1=0, axis2=2) for p, d in zip(pairs, dims[1:])])
-    s = np.empty(len(mats))
-    for size in {len(m) for m in mats}:
-        idx = [k for k, m in enumerate(mats) if len(m) == size]
+    by_size = {}
+    for k, m in enumerate(mats):
+        by_size.setdefault(len(m), []).append(k)
+    s = {}  # entropy of each matrix, by its place in `mats`
+    for idx in by_size.values():
         vals = np.linalg.eigvalsh(np.array([mats[k] for k in idx]))
-        s[idx] = entropy_of_spectrum(vals)
-    return [float(s[0] + s_r - s_sr) for s_sr, s_r in zip(s[1:n], s[n:])]
+        s.update(zip(idx, entropy_of_spectrum(vals).tolist()))
+    return [s[0] + s[n - 1 + i] - s[i] for i in range(1, n)]

@@ -85,9 +85,9 @@ def test_paired_ab_alternates_the_first_side_within_each_op_kind():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     rows = {line.split()[0]: line.split() for line in out.stdout.splitlines() if line.strip()}
-    # kind, ops, parent, change, ratio, share, parent-first, bit-identical, max |diff|
-    assert rows["crossover"][6:] == ["1/2", "2/2", "0"]
-    assert rows["family"][6:] == ["32/64", "64/64", "0"]
+    # kind, ops, parent, change, ratio, q1, q3, share, parent-first, bit-identical, max |diff|
+    assert rows["crossover"][8:] == ["1/2", "2/2", "0"]
+    assert rows["family"][8:] == ["32/64", "64/64", "0"]
 
 
 def test_paired_ab_exits_quietly_when_stdout_closes():

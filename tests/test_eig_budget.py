@@ -22,6 +22,7 @@ PURE_QUTRIT = dl.StateVector(dl.random_pure_state(6, 3).vec, (3, 2)).to_density(
 ISOMETRY = dl.random_broadcast_isometry(2, (2, 2, 2), 2, 5)
 BROADCAST = dl.apply_broadcast(PSI, ISOMETRY)
 MEASUREMENT = dl.qubit_projective_povm(0.3, 0.2)
+RANK2_QUTRIT_APPARATUS = dl.DensityMatrix(dl.random_density_matrix(6, 7, rank=2), (2, 3))
 
 # (call, its arguments, most eigensolver calls allowed). A DensityMatrix
 # keeps its marginal entropies once a call has computed them, so each
@@ -46,12 +47,18 @@ BUDGETS = {
     "classical_correlation_pure_qutrit": (dl.classical_correlation, (PURE_QUTRIT,), 2),
     # The purification and the marginals' stacked eigensolve.
     "classical_correlation_kw": (dl.classical_correlation_kw, (RHO,), 2),
+    # The purification and rho^S alone: rho^A, which KW does not read, is
+    # left for I.
+    "classical_correlation_kw_qutrit_apparatus": (dl.classical_correlation_kw,
+                                                  (RANK2_QUTRIT_APPARATUS,), 2),
     "cloning_recipient_info": (dl.cloning_recipient_info, (np.pi / 8,), 1),
     # Nine gap evaluations: KW's purification and the cloner's one; both
     # rho^S are diagonal, so their spectra are sorts.
     "find_crossover": (dl.find_crossover, (), 18),
     "qubit_projective_povm": (dl.qubit_projective_povm, (0.3, 0.2), 1),
+    "random_broadcast_isometry": (dl.random_broadcast_isometry, (2, (2, 2, 2), 2, 5), 0),
     "apply_broadcast": (dl.apply_broadcast, (PSI, ISOMETRY), 1),
+    "partial_trace_broadcast": (dl.partial_trace, (BROADCAST, [0]), 1),
     "recipient_infos": (dl.recipient_infos, (BROADCAST,), 2),
     "locc_transfer_info": (dl.locc_transfer_info, (RHO, MEASUREMENT), 0),
 }
@@ -95,6 +102,18 @@ def test_i_and_kw_of_one_state_share_its_marginals(eig_calls):
     rho = copy.copy(RHO)
     assert eig_calls(lambda: dl.classical_correlation_kw(rho)) == 2
     assert eig_calls(lambda: dl.mutual_information(rho)) == 0
+
+
+def test_kw_and_i_of_a_qutrit_apparatus_solve_each_marginal_once(eig_calls):
+    # KW reads S(rho^S) alone; I after it solves rho^A only, and the kept
+    # S(rho^S) is the one I computes on a fresh copy, bit for bit.
+    rho = copy.copy(RANK2_QUTRIT_APPARATUS)
+    assert eig_calls(lambda: dl.classical_correlation_kw(rho)) == 2
+    assert eig_calls(lambda: dl.mutual_information(rho)) == 1
+    assert rho._marginals == copy.copy(rho)._marginals
+    rho = copy.copy(RANK2_QUTRIT_APPARATUS)
+    assert eig_calls(lambda: dl.mutual_information(rho)) == 2
+    assert eig_calls(lambda: dl.classical_correlation_kw(rho)) == 1
 
 
 def test_a_copy_computes_the_kept_marginals_again_bit_for_bit(eig_calls):

@@ -210,9 +210,47 @@ class TestValueTypes:
         psi = la.StateVector(v, (2,))
         v[0] = 7.0
         assert np.array_equal(psi.vec, [1.0, 0.0])
-        for arr in (rho.mat, psi.vec, psi.to_density().mat):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        q = np.eye(2, dtype=complex) - p
+        m = la.Povm((p, q))
+        p[0, 0], q[1, 1] = 9.0, -3.0
+        assert np.array_equal(m._stack, [np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert all(e.base is m._stack for e in m.elements)
+        w = np.eye(4, dtype=complex)[:, [0, 3]]
+        iso = la.BroadcastIsometry(w, (2, 2), 1)
+        w[0, 0] = 5.0
+        assert np.array_equal(iso.matrix, np.eye(4)[:, [0, 3]])
+        for arr in (rho.mat, psi.vec, psi.to_density().mat, m.elements[0], m._stack, iso.matrix):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    def test_value_types_store_c_ordered_arrays_of_any_layout(self):
+        # A Fortran-ordered or a strided caller array gives the same stored
+        # array, bit for bit, as a C-ordered copy of it: C-contiguous and
+        # read-only. (A vector has no Fortran order of its own.)
+        def layouts(a):
+            every_other = tuple(slice(None, None, 2) for _ in a.shape)
+            padded = np.zeros(tuple(2 * n for n in a.shape), dtype=a.dtype)
+            padded[every_other] = a
+            return (np.asfortranarray(a),) * (a.ndim > 1) + (padded[every_other],)
+
+        rho = la.random_density_matrix(6, 3)
+        vec = la.random_pure_state(6, 3).vec
+        iso = la.random_isometry_mat(2, 8, 5)
+        p = corr.qubit_projective_povm(0.3, 0.2).elements[0].copy()
+        build = (
+            (rho, lambda a: la.DensityMatrix(a, (2, 3)), lambda v: (v.mat,)),
+            (vec, lambda a: la.StateVector(a, (2, 3)), lambda v: (v.vec,)),
+            (p, lambda a: la.Povm((a, np.eye(2) - p)), lambda v: (v._stack, *v.elements)),
+            (iso, lambda a: la.BroadcastIsometry(a, (2, 2), 2), lambda v: (v.matrix,)),
+        )
+        for a, make, stored in build:
+            want = stored(make(np.ascontiguousarray(a)))
+            for other in layouts(a):
+                assert not other.flags.c_contiguous
+                for got, ref in zip(stored(make(other)), want, strict=True):
+                    assert got.flags.c_contiguous and not got.flags.writeable
+                    assert got.tobytes() == ref.tobytes()
 
     def test_copies_own_read_only_arrays(self):
         # A copy or an unpickled value is built again by its constructor: it

@@ -15,6 +15,9 @@ call, the median time of each side and the ratio change / parent, the
 throughput and latency percentiles of the op times; per op kind also how
 many ops ran parent first, how many gave bit-identical outputs on the two
 sides, and the largest absolute difference between their float outputs.
+Beside each end-to-end and op-kind ratio stand its quartiles over 10
+consecutive blocks of the ops (of that kind's ops for a kind), so that a
+claimed gain reads against the ratio's own spread.
 The times are unscaled: the pairing, not a calibration, cancels the drift
 of a shared host.
 
@@ -48,6 +51,10 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Each end-to-end and op-kind ratio is also read on this many consecutive
+# blocks of ops (fewer when there are fewer ops), and the quartiles of the
+# block ratios are printed beside it: the spread a claimed gain reads against.
+BLOCKS = 10
 
 
 def load_package(tree: Path, name: str):
@@ -141,22 +148,35 @@ def ratio_row(label: str, parent: list[float], change: list[float], scale: float
     return f"{label:<44} {len(parent):>7} {p:>12.2f} {c:>12.2f} {c / p:>8.3f}"
 
 
+def block_quartiles(parent: list[float], change: list[float], fn) -> str:
+    """The quartiles of fn(change) / fn(parent) over up to BLOCKS
+    consecutive blocks of the paired op times."""
+    blocks = np.array_split(np.arange(len(parent)), min(BLOCKS, len(parent)))
+    ratios = [fn([change[k] for k in b]) / fn([parent[k] for k in b]) for b in blocks]
+    q1, q3 = np.percentile(ratios, [25, 75])
+    return f"{q1:>6.3f} {q3:>6.3f}"
+
+
 def report(res: dict, args) -> None:
     op_s, kinds = res["op_s"], res["kinds"]
     n = len(kinds)
     print(f"workload {args.workload}, seed {args.seed}, {n} ops per side, "
           f"order alternating per op kind; "
           f"outputs bit-identical in {sum(res['identical'])}/{n} ops")
-    print(f"{'end to end':<44} {'':>7} {'parent':>12} {'change':>12} {'ratio':>8}")
+    print(f"q1 and q3: quartiles of the ratio over {min(BLOCKS, n)} consecutive blocks of the"
+          " ops (of each kind's ops for a kind)")
+    print(f"{'end to end':<44} {'':>7} {'parent':>12} {'change':>12} {'ratio':>8}"
+          f" {'q1':>6} {'q3':>6}")
     for metric, fn in (("throughput_ops_s", lambda t: len(t) / sum(t)),
                        ("latency_p50_ms", lambda t: float(np.percentile(t, 50)) * 1e3),
                        ("latency_p90_ms", lambda t: float(np.percentile(t, 90)) * 1e3)):
         p, c = fn(op_s["parent"]), fn(op_s["change"])
-        print(f"{metric:<44} {'':>7} {p:>12.4g} {c:>12.4g} {c / p:>8.3f}")
+        print(f"{metric:<44} {'':>7} {p:>12.4g} {c:>12.4g} {c / p:>8.3f}",
+              block_quartiles(op_s["parent"], op_s["change"], fn))
     wins = sum(c < p for p, c in zip(op_s["parent"], op_s["change"]))
     print(f"{'ops faster on the change side':<44} {wins:>7}/{n}")
     print(f"\n{'op kind (median us)':<44} {'ops':>7} {'parent':>12} {'change':>12} {'ratio':>8}"
-          "  share  parent-first  bit-identical  max |diff|")
+          f" {'q1':>6} {'q3':>6}  share  parent-first  bit-identical  max |diff|")
     total = sum(op_s["parent"])
     for kind in sorted(set(kinds)):
         idx = [k for k, x in enumerate(kinds) if x == kind]
@@ -164,6 +184,7 @@ def report(res: dict, args) -> None:
         first = f"{sum(res['parent_first'][k] for k in idx)}/{len(idx)}"
         same = f"{sum(res['identical'][k] for k in idx)}/{len(idx)}"
         print(ratio_row(kind, sel["parent"], sel["change"], 1e6),
+              block_quartiles(sel["parent"], sel["change"], statistics.median),
               f"{sum(sel['parent']) / total:>6.0%}  {first:>12}  {same:>13}"
               f"  {max(res['diffs'][k] for k in idx):>10.2g}")
     print(f"\n{'call (median us)':<44} {'calls':>7} {'parent':>12} {'change':>12} {'ratio':>8}")
